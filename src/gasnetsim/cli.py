@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time as _time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import experiments
 from .config import build_network, config_sha, load_config
@@ -104,8 +106,7 @@ def _cmd_run(args):
     if cfg.simulation is None:
         raise ConfigError(["simulation section is required for 'run'"])
     sim = cfg.simulation
-    dx = args.dx or sim.dx_target
-    net = build_network(cfg, dx_target=dx, strict=args.strict)
+    net = build_network(cfg, dx_target=args.dx, strict=args.strict)
     steady = solve_steady_state(net, t0=0.0)
     steady.populate(net, t0=0.0)
     safety = sim.cfl_safety if args.cfl_safety is None else args.cfl_safety
@@ -125,7 +126,7 @@ def _cmd_run(args):
     return 0
 
 
-def _cmd_validate(args):
+def _cmd_check_config(args):
     load_config(args.config, strict=args.strict)
     print(f"{args.config}: valid")
     return 0
@@ -133,8 +134,7 @@ def _cmd_validate(args):
 
 def _cmd_steady(args):
     cfg = load_config(args.config, strict=args.strict)
-    dx = args.dx or (cfg.simulation.dx_target if cfg.simulation else 500.0)
-    net = build_network(cfg, dx_target=dx, strict=args.strict)
+    net = build_network(cfg, dx_target=args.dx, strict=args.strict)
     steady = solve_steady_state(net, t0=0.0)
     for node_id, p in steady.node_pressures.items():
         print(f"node {node_id}: pressure {p:.6g} Pa")
@@ -171,70 +171,78 @@ def _cmd_convergence(args):
     return 0
 
 
-def _cmd_fast(args):
+class _Study(NamedTuple):
+    run: Callable           # the experiment function
+    stem: str               # output file stem, formatted with the flags
+    flags: dict             # subcommand flag -> experiment argument
+    scale: dict             # scale argument -> default, hashed into params
+    cadence: float          # default output sample spacing
+
+
+_STUDIES = {
+    "fast-transient": _Study(experiments.run_fast_transient,
+                             "fast_transient_{eos}", {"eos": "eos_kind"},
+                             {"dx": 100.0, "t_end": 3600.0}, 10.0),
+    "slow-transient": _Study(experiments.run_slow_transient,
+                             "slow_transient_{eos}",
+                             {"eos": "eos_kind", "periods": "n_periods"},
+                             {"dx": 500.0}, 300.0),
+    "temperature": _Study(experiments.run_temperature_effect,
+                          "temperature_{rate:g}", {"rate": "decay_rate"},
+                          {"dx": 200.0, "t_end": 16 * 3600.0}, 60.0),
+    "five-node": _Study(experiments.run_five_node_network, "five_node_{eos}",
+                        {"eos": "eos_kind"},
+                        {"dx_target": 62.5, "t_end": 86400.0, "dt": 0.125},
+                        60.0),
+}
+
+
+def _cmd_study(args):
     started = _time.monotonic()
-    params = {"experiment": "fast-transient", "eos": args.eos,
-              "dx": args.dx or 100.0, "t_end": args.t_end or 3600.0}
-    result = experiments.run_fast_transient(
-        eos_kind=args.eos, dx=params["dx"], t_end=params["t_end"],
-        cadence=args.cadence or 10.0, dt=args.dt,
-        cfl_safety=args.cfl_safety or 0.9)
-    return _finish(result, f"fast_transient_{args.eos}", args.out, started,
-                   params)
+    study = _STUDIES[args.command]
+    # the flag behind each scale argument; five-node names its grid dx_target
+    given = {"dx": args.dx, "dx_target": args.dx, "t_end": args.t_end,
+             "dt": args.dt}
+    scale = {key: given[key] or default
+             for key, default in study.scale.items()}
+    params = {"experiment": args.command,
+              **{flag: getattr(args, flag) for flag in study.flags}, **scale}
+    kwargs = {arg: getattr(args, flag) for flag, arg in study.flags.items()}
+    kwargs.update(dt=args.dt, cadence=args.cadence or study.cadence,
+                  cfl_safety=args.cfl_safety or 0.9)
+    kwargs.update(scale)
+    result = study.run(**kwargs)
+    return _finish(result, study.stem.format(**vars(args)), args.out,
+                   started, params)
 
 
-def _cmd_slow(args):
-    started = _time.monotonic()
-    params = {"experiment": "slow-transient", "eos": args.eos,
-              "dx": args.dx or 500.0, "periods": args.periods}
-    result = experiments.run_slow_transient(
-        eos_kind=args.eos, dx=params["dx"], n_periods=args.periods,
-        cadence=args.cadence or 300.0, dt=args.dt,
-        cfl_safety=args.cfl_safety or 0.9)
-    return _finish(result, f"slow_transient_{args.eos}", args.out, started,
-                   params)
-
-
-def _cmd_temperature(args):
-    started = _time.monotonic()
-    params = {"experiment": "temperature", "rate": args.rate,
-              "dx": args.dx or 200.0, "t_end": args.t_end or 16 * 3600.0}
-    result = experiments.run_temperature_effect(
-        decay_rate=args.rate, dx=params["dx"], t_end=params["t_end"],
-        cadence=args.cadence or 60.0, dt=args.dt,
-        cfl_safety=args.cfl_safety or 0.9)
-    return _finish(result, f"temperature_{args.rate:g}", args.out, started,
-                   params)
-
-
-def _cmd_five_node(args):
-    started = _time.monotonic()
-    params = {"experiment": "five-node", "eos": args.eos,
-              "dx_target": args.dx or 62.5, "t_end": args.t_end or 86400.0,
-              "dt": args.dt or 0.125}
-    result = experiments.run_five_node_network(
-        eos_kind=args.eos, dx_target=params["dx_target"], dt=params["dt"],
-        t_end=params["t_end"], cadence=args.cadence or 60.0,
-        cfl_safety=args.cfl_safety or 0.9)
-    return _finish(result, f"five_node_{args.eos}", args.out, started,
-                   params)
+def _flag_violations(args) -> list[str]:
+    """Scale and study flags must be positive and finite; the CFL safety
+    in (0, 1]."""
+    problems = [f"--{name.replace('_', '-')} must be a positive finite number"
+                for name in ("dt", "dx", "t_end", "cadence", "rate", "periods")
+                if getattr(args, name, None) is not None and
+                not 0 < getattr(args, name) < math.inf]
+    if args.cfl_safety is not None and not 0 < args.cfl_safety <= 1:
+        problems.append("--cfl-safety must be in (0, 1]")
+    return problems
 
 
 _COMMANDS = {
     "run": _cmd_run,
-    "validate": _cmd_validate,
+    "validate": _cmd_check_config,
     "steady": _cmd_steady,
     "convergence": _cmd_convergence,
-    "fast-transient": _cmd_fast,
-    "slow-transient": _cmd_slow,
-    "temperature": _cmd_temperature,
-    "five-node": _cmd_five_node,
+    **dict.fromkeys(_STUDIES, _cmd_study),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        problems = _flag_violations(args)
+        if problems:
+            raise ConfigError(problems)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         for violation in exc.violations:

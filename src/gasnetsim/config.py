@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .eos import make_eos
 from .errors import ConfigError
 from .network import DemandBC, Network, Node, PipeEdge, SlackBC, \
-    grid_for_length
+    graph_violations, grid_for_length
 from .pipe import PipeGeometry
 from .profiles import profile_from_config
 
@@ -139,6 +140,31 @@ def _check_profile(section, cfg, problems, strict):
         problems.append(f"{section}: bad profile ({exc})")
 
 
+def _objects(doc, key, problems) -> list:
+    """The ``(label, object)`` entries of a list section of ``doc``."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        problems.append(f"{key}: must be a list")
+        return []
+    entries = []
+    for i, item in enumerate(items):
+        if isinstance(item, dict):
+            entries.append((f"{key}[{i}]", item))
+        else:
+            problems.append(f"{key}[{i}]: must be an object")
+    return entries
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number (booleans excluded)."""
+    return isinstance(value, (int, float)) and \
+        not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
 def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
     """Validate a parsed JSON document; raises ConfigError listing every
     violation found."""
@@ -154,131 +180,101 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
     eos_cfg = doc.get("eos", {})
     if not isinstance(eos_cfg, dict) or "kind" not in eos_cfg:
         problems.append("eos: must be an object with a 'kind'")
-        eos_cfg = {}
+    elif not isinstance(eos_cfg["kind"], str) or \
+            eos_cfg["kind"] not in _EOS_REQUIRED:
+        problems.append(f"eos: unknown kind {eos_cfg['kind']!r}")
     else:
         kind = eos_cfg["kind"]
-        if kind not in _EOS_REQUIRED:
-            problems.append(f"eos: unknown kind {kind!r}")
-        else:
-            _expect_keys("eos", eos_cfg, _EOS_REQUIRED[kind] | {"kind"},
-                         _EOS_OPTIONAL[kind], problems, strict)
-            try:
-                make_eos(kind, **{k: v for k, v in eos_cfg.items()
-                                  if k != "kind"})
-            except (ValueError, KeyError, TypeError) as exc:
-                problems.append(f"eos: invalid parameters ({exc})")
+        _expect_keys("eos", eos_cfg, _EOS_REQUIRED[kind] | {"kind"},
+                     _EOS_OPTIONAL[kind], problems, strict)
+        try:
+            make_eos(kind, **{k: v for k, v in eos_cfg.items()
+                              if k != "kind"})
+        except (ValueError, KeyError, TypeError) as exc:
+            problems.append(f"eos: invalid parameters ({exc})")
 
-    nodes, seen_nodes, has_slack = [], set(), False
-    for i, nd in enumerate(doc.get("nodes", [])):
-        label = f"nodes[{i}]"
-        if not isinstance(nd, dict):
-            problems.append(f"{label}: must be an object")
-            continue
+    nodes = _objects(doc, "nodes", problems)
+    for label, nd in nodes:
         kind = nd.get("kind")
         value_key = "pressure" if kind == "slack" else "withdrawal"
         _expect_keys(label, nd, {"id", "kind", value_key}, set(), problems,
                      strict)
-        nid = str(nd.get("id"))
-        if nid in seen_nodes:
-            problems.append(f"{label}: duplicate node id {nid!r}")
-        seen_nodes.add(nid)
         if kind not in ("slack", "demand"):
             problems.append(f"{label}: kind must be 'slack' or 'demand'")
-            continue
-        has_slack = has_slack or kind == "slack"
-        if value_key in nd:
+        elif value_key in nd:
             _check_profile(label, nd[value_key], problems, strict)
-            nodes.append(NodeConfig(id=nid, kind=kind, profile=nd[value_key]))
-    if not has_slack:
-        problems.append("nodes: at least one slack node is required")
 
-    pipes, seen_pipes = [], set()
-    for i, pd in enumerate(doc.get("pipes", [])):
-        label = f"pipes[{i}]"
-        if not isinstance(pd, dict):
-            problems.append(f"{label}: must be an object")
-            continue
+    pipes = _objects(doc, "pipes", problems)
+    for label, pd in pipes:
         _expect_keys(label, pd, {"id", "from", "to", "length", "diameter",
                                  "friction"}, set(), problems, strict)
-        pid = str(pd.get("id"))
-        if pid in seen_pipes:
-            problems.append(f"{label}: duplicate pipe id {pid!r}")
-        seen_pipes.add(pid)
         for key in ("length", "diameter"):
-            if not isinstance(pd.get(key), (int, float)) or pd[key] <= 0:
+            if not _is_positive(pd.get(key)):
                 problems.append(f"{label}: {key} must be positive")
-        if not isinstance(pd.get("friction"), (int, float)) or \
-                pd["friction"] < 0:
+        if not _is_number(pd.get("friction")) or pd["friction"] < 0:
             problems.append(f"{label}: friction must be non-negative")
-        for key in ("from", "to"):
-            if str(pd.get(key)) not in seen_nodes:
-                problems.append(f"{label}: {key} node {pd.get(key)!r} "
-                                f"does not exist")
-        if pd.get("from") == pd.get("to"):
-            problems.append(f"{label}: from and to must differ")
-        pipes.append(PipeConfig(id=pid, from_node=str(pd.get("from")),
-                                to_node=str(pd.get("to")),
-                                length=float(pd.get("length", 0) or 0),
-                                diameter=float(pd.get("diameter", 0) or 0),
-                                friction=float(pd.get("friction", 0) or 0)))
+    problems += graph_violations(
+        [(str(nd.get("id")), nd.get("kind") == "slack") for _, nd in nodes],
+        [(str(pd.get("id")), str(pd.get("from")), str(pd.get("to")))
+         for _, pd in pipes])
 
-    compressors, seen_comp = [], set()
-    for i, cd in enumerate(doc.get("compressors", [])):
-        label = f"compressors[{i}]"
-        if not isinstance(cd, dict):
-            problems.append(f"{label}: must be an object")
-            continue
+    compressors = _objects(doc, "compressors", problems)
+    pipe_ids = {str(pd.get("id")) for _, pd in pipes}
+    seen_comp = set()
+    for label, cd in compressors:
         _expect_keys(label, cd, {"pipe", "side", "ratio"}, set(), problems,
                      strict)
-        side = cd.get("side")
-        if side not in ("inlet", "outlet"):
-            problems.append(f"{label}: side must be 'inlet' or 'outlet'")
-        if str(cd.get("pipe")) not in seen_pipes:
+        if str(cd.get("pipe")) not in pipe_ids:
             problems.append(f"{label}: pipe {cd.get('pipe')!r} does not exist")
-        key = (str(cd.get("pipe")), side)
-        if key in seen_comp:
+        key = (str(cd.get("pipe")), cd.get("side"))
+        if key[1] not in ("inlet", "outlet"):
+            problems.append(f"{label}: side must be 'inlet' or 'outlet'")
+        elif key in seen_comp:
             problems.append(f"{label}: duplicate compressor for {key}")
-        seen_comp.add(key)
+        else:
+            seen_comp.add(key)
         if "ratio" in cd:
             _check_profile(label, cd["ratio"], problems, strict)
-            compressors.append(CompressorConfig(pipe=str(cd.get("pipe")),
-                                                side=side or "inlet",
-                                                ratio=cd["ratio"]))
 
-    simulation = None
-    if "simulation" in doc:
-        sd = doc["simulation"]
-        label = "simulation"
-        if not isinstance(sd, dict):
-            problems.append(f"{label}: must be an object")
-        else:
-            _expect_keys(label, sd, {"t_end", "dx_target"},
-                         {"dt", "cfl_safety", "output_cadence",
-                          "output_path"}, problems, strict)
-            for key in ("t_end", "dx_target"):
-                if not isinstance(sd.get(key), (int, float)) or sd[key] <= 0:
-                    problems.append(f"{label}: {key} must be positive")
-            dt = sd.get("dt")
-            if dt is not None and (not isinstance(dt, (int, float)) or
-                                   dt <= 0):
-                problems.append(f"{label}: dt must be positive or null")
-            safety = sd.get("cfl_safety", 0.9)
-            if not 0 < safety <= 1:
-                problems.append(f"{label}: cfl_safety must be in (0, 1]")
-            if not problems:
-                simulation = SimulationConfig(
-                    t_end=float(sd["t_end"]),
-                    dx_target=float(sd["dx_target"]),
-                    dt=None if dt is None else float(dt),
-                    cfl_safety=float(safety),
-                    output_cadence=float(sd.get("output_cadence", 60.0)),
-                    output_path=str(sd.get("output_path", "out")))
+    sd = doc.get("simulation")
+    if "simulation" in doc and not isinstance(sd, dict):
+        problems.append("simulation: must be an object")
+    elif sd is not None:
+        _expect_keys("simulation", sd, {"t_end", "dx_target"},
+                     {"dt", "cfl_safety", "output_cadence", "output_path"},
+                     problems, strict)
+        for key in ("t_end", "dx_target", "output_cadence"):
+            if key in sd and not _is_positive(sd[key]):
+                problems.append(f"simulation: {key} must be positive")
+        if sd.get("dt") is not None and not _is_positive(sd["dt"]):
+            problems.append("simulation: dt must be positive or null")
+        safety = sd.get("cfl_safety", 0.9)
+        if not (_is_number(safety) and 0 < safety <= 1):
+            problems.append("simulation: cfl_safety must be in (0, 1]")
 
     if problems:
         raise ConfigError(problems)
-    return NetworkConfig(eos=dict(eos_cfg), nodes=nodes, pipes=pipes,
-                         compressors=compressors, simulation=simulation,
-                         version=doc["version"])
+    return NetworkConfig(
+        eos=dict(eos_cfg),
+        nodes=[NodeConfig(id=str(nd["id"]), kind=nd["kind"],
+                          profile=nd["pressure" if nd["kind"] == "slack"
+                                     else "withdrawal"])
+               for _, nd in nodes],
+        pipes=[PipeConfig(id=str(pd["id"]), from_node=str(pd["from"]),
+                          to_node=str(pd["to"]), length=float(pd["length"]),
+                          diameter=float(pd["diameter"]),
+                          friction=float(pd["friction"]))
+               for _, pd in pipes],
+        compressors=[CompressorConfig(pipe=str(cd["pipe"]), side=cd["side"],
+                                      ratio=cd["ratio"])
+                     for _, cd in compressors],
+        simulation=None if sd is None else SimulationConfig(
+            t_end=float(sd["t_end"]), dx_target=float(sd["dx_target"]),
+            dt=None if sd.get("dt") is None else float(sd["dt"]),
+            cfl_safety=float(sd.get("cfl_safety", 0.9)),
+            output_cadence=float(sd.get("output_cadence", 60.0)),
+            output_path=str(sd.get("output_path", "out"))),
+        version=doc["version"])
 
 
 def load_config(path, strict: bool = False) -> NetworkConfig:

@@ -10,25 +10,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy import trapezoid
 
 from . import pipe as pipe_ops
+from .config import build_network, load_config
 from .eos import CngaGas, IdealGas, NonIsothermalCnga, TemperatureProfile
 from .errors import CflViolationError, SimulationError
-from .network import Network, Node, PipeEdge, DemandBC, SlackBC, \
-    check_network_cfl, grid_for_length, network_step
+from .network import Network, check_network_cfl, grid_for_length, \
+    network_step, node_record
 from .pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState, PressureBC,
                    face_velocity, uniform_state)
-from .profiles import Constant, Harmonic, PiecewiseLinear, StepSequence
+from .profiles import Constant, Harmonic, StepSequence
 from .steady import solve_steady_state
 
 # single-pipe study constants
 WAVE_SPEED_REF = 377.9683       # m/s, network-model sound speed
 RHO_MEAN = 56.817               # kg/m^3 at 6.5 MPa (non-ideal map)
 IDEAL_WAVE_SPEED = 338.25       # m/s, matches 6.5 MPa in the fast-transient runs
-SLACK_PRESSURE = 3447378.645    # Pa
 DAY = 86400.0
 
 
@@ -467,53 +468,15 @@ class _HoldThenHarmonic:
 # ---------------------------------------------------------------------------
 # five-node network study
 
-def five_node_schedules() -> dict:
-    """Compressor-ratio and withdrawal schedules of the network study."""
-    c1, c2, c3 = 1.5290113, 1.1128863, 1.2242249
-    d3, d5 = 150.0, 150.0
-    return {
-        "c1": Harmonic(offset=0.9 * c1, amplitude=0.1 * c1,
-                       omega=2 * np.pi / DAY, phase=-DAY / 4, period=DAY),
-        "c2": PiecewiseLinear([(0.0, c2), (21600.0, c2), (25200.0, 1.4 * c2),
-                               (64800.0, 1.4 * c2), (68400.0, c2),
-                               (86400.0, c2)], period=DAY),
-        "c3": Harmonic(offset=1.25 * c3, amplitude=0.25 * c3,
-                       omega=6 * np.pi / DAY, phase=DAY / 12, period=DAY),
-        "d3": Harmonic(offset=0.9 * d3, amplitude=0.1 * d3,
-                       omega=4 * np.pi / DAY, phase=-DAY / 8, period=DAY),
-        "d5": PiecewiseLinear([(0.0, d5), (12000.0, d5), (15600.0, 1.2 * d5),
-                               (48000.0, 1.2 * d5), (51600.0, d5),
-                               (86400.0, d5)], period=DAY),
-    }
-
-
-FIVE_NODE_PIPES = [
-    # (id, from, to, diameter m, length m, friction)
-    ("1", "1", "2", 0.9144, 20e3, 0.01),
-    ("2", "2", "3", 0.9144, 70e3, 0.01),
-    ("3", "3", "4", 0.9144, 10e3, 0.01),
-    ("4", "2", "4", 0.6350, 60e3, 0.015),
-    ("5", "4", "5", 0.9144, 80e3, 0.01),
-]
+FIVE_NODE_CONFIG = Path(__file__).parent / "configs" / "five_node.json"
 
 
 def five_node_network(eos, dx_target: float = 62.5) -> Network:
-    """The five-node / five-pipe benchmark network with its schedules."""
-    s = five_node_schedules()
-    nodes = [Node("1", SlackBC(Constant(SLACK_PRESSURE))),
-             Node("2", DemandBC(Constant(0.0))),
-             Node("3", DemandBC(s["d3"])),
-             Node("4", DemandBC(Constant(0.0))),
-             Node("5", DemandBC(s["d5"]))]
-    ratios = {"1": s["c1"], "2": s["c2"], "5": s["c3"]}
-    edges = []
-    for pid, frm, to, dia, length, lam in FIVE_NODE_PIPES:
-        edges.append(PipeEdge(
-            id=pid, from_node=frm, to_node=to,
-            geometry=PipeGeometry(length=length, diameter=dia, friction=lam),
-            grid=grid_for_length(length, dx_target),
-            inlet_ratio=ratios.get(pid)))
-    return Network(nodes, edges, eos)
+    """The five-node / five-pipe benchmark network of the bundled config,
+    with its schedules, on the given EoS model."""
+    net = build_network(load_config(FIVE_NODE_CONFIG), dx_target)
+    net.eos = eos
+    return net
 
 
 def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
@@ -528,21 +491,6 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
     cumulative = 0.0
     t0 = net.time
     n_steps = int(round((t_end - t0) / dt))
-
-    def node_records_now():
-        recs = {}
-        for node in net.nodes:
-            end = net.incidence[node.id][0]
-            if node.is_slack:
-                p = node.bc.pressure(net.time)
-            else:
-                p_b = net.eos.pressure(float(end.edge.state.rho[end.cell]),
-                                       end.x)
-                p = p_b / end.ratio(net.time)
-            netflow = sum(e.sgn * e.area * float(e.edge.state.phi[e.face])
-                          for e in net.incidence[node.id])
-            recs[node.id] = (p, netflow)
-        return recs
 
     def sample(records):
         t = net.time
@@ -571,7 +519,7 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
             writer.write_rows(store.rows[written:])
             written = len(store.rows)
 
-    sample(node_records_now())
+    sample({node.id: node_record(net, node) for node in net.nodes})
     flush()
     next_sample = t0 + cadence
     prev_mass = mass0

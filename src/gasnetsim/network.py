@@ -14,13 +14,14 @@ results are deterministic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import pipe as pipe_ops
-from .errors import CflViolationError, InfeasibleNodeError, SimulationError
+from .errors import (CflViolationError, ConfigError, InfeasibleNodeError,
+                     SimulationError)
 from .pipe import LEFT, RIGHT, PipeGeometry, PipeGrid, PipeState
 from .profiles import Constant, TimeProfile
 
@@ -85,6 +86,46 @@ class _End:
         return self.edge.grid.dx
 
 
+def graph_violations(nodes, pipes) -> list[str]:
+    """Every structural fault of a pipe graph, as readable violations.
+
+    ``nodes`` holds ``(id, is_slack)`` pairs and ``pipes`` holds
+    ``(id, from_node, to_node)`` triples.  Connectivity is checked only when
+    every other check passes, since it is meaningless for a malformed graph.
+    """
+    problems = []
+    node_ids = [nid for nid, _ in nodes]
+    for kind, ids in (("node", node_ids), ("pipe", [p[0] for p in pipes])):
+        problems += [f"duplicate {kind} id {i!r}"
+                     for i, count in Counter(ids).items() if count > 1]
+    known = set(node_ids)
+    for pid, frm, to in pipes:
+        for end, nid in (("from", frm), ("to", to)):
+            if nid not in known:
+                problems.append(f"pipe {pid!r}: {end} node {nid!r} "
+                                f"does not exist")
+        if frm == to:
+            problems.append(f"pipe {pid!r} is a self-loop")
+    if not any(is_slack for _, is_slack in nodes):
+        problems.append("at least one slack (pressure) node is required")
+    if problems or not nodes:
+        return problems
+    adj = {nid: set() for nid in known}
+    for _, frm, to in pipes:
+        adj[frm].add(to)
+        adj[to].add(frm)
+    reach, frontier = {node_ids[0]}, [node_ids[0]]
+    while frontier:
+        nxt = adj[frontier.pop()] - reach
+        reach |= nxt
+        frontier.extend(nxt)
+    if reach != known:
+        cut_off = [nid for nid in node_ids if nid not in reach]
+        problems.append(f"graph is not connected: nodes {cut_off} are "
+                        f"unreachable from node {node_ids[0]!r}")
+    return problems
+
+
 class Network:
     """Validated pipe graph with one shared EoS model."""
 
@@ -94,7 +135,11 @@ class Network:
         self.eos = eos
         self.time = time
         self.step_index = 0
-        self._validate()
+        problems = graph_violations([(n.id, n.is_slack) for n in self.nodes],
+                                    [(e.id, e.from_node, e.to_node)
+                                     for e in self.edges])
+        if problems:
+            raise ConfigError(problems)
         self.incidence = {n.id: [] for n in self.nodes}
         for e in self.edges:
             xc = e.grid.cell_centers
@@ -106,38 +151,6 @@ class Network:
                 x=float(xc[-1]), ratio=e.outlet_ratio or UNIT_RATIO))
         self._dual_compressor_edges = [e for e in self.edges
                                        if e.inlet_ratio and e.outlet_ratio]
-
-    def _validate(self):
-        problems = []
-        node_ids = [n.id for n in self.nodes]
-        if len(set(node_ids)) != len(node_ids):
-            problems.append("duplicate node ids")
-        edge_ids = [e.id for e in self.edges]
-        if len(set(edge_ids)) != len(edge_ids):
-            problems.append("duplicate pipe ids")
-        known = set(node_ids)
-        for e in self.edges:
-            if e.from_node not in known or e.to_node not in known:
-                problems.append(f"pipe {e.id} references unknown node")
-            if e.from_node == e.to_node:
-                problems.append(f"pipe {e.id} is a self-loop")
-        if not any(n.is_slack for n in self.nodes):
-            problems.append("at least one slack (pressure) node is required")
-        if self.nodes and self.edges and not problems:
-            reach = {self.nodes[0].id}
-            frontier = [self.nodes[0].id]
-            adj = {n: set() for n in known}
-            for e in self.edges:
-                adj[e.from_node].add(e.to_node)
-                adj[e.to_node].add(e.from_node)
-            while frontier:
-                nxt = adj[frontier.pop()] - reach
-                reach |= nxt
-                frontier.extend(nxt)
-            if reach != known:
-                problems.append("graph is not connected")
-        if problems:
-            raise ValueError("invalid network: " + "; ".join(problems))
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -188,35 +201,6 @@ def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
     return 2.0 * rhs / (b + math.sqrt(b * b + 4.0 * a * rhs))
 
 
-def nodal_pressure_solve_generic(weights, alphas, rho_ends, density_fns, q,
-                                 inflow, p_scale: float,
-                                 node_id: str = "?") -> float:
-    """Bracketed root solve for EoS models without a quadratic density map.
-
-    Requires each ``density_fns[k]`` to be strictly increasing.
-    """
-    rhs = float(np.dot(weights, rho_ends)) - q + inflow
-    if rhs < 0.0:
-        raise InfeasibleNodeError(node_id, f"balance rhs {rhs:g} < 0")
-
-    def resid(p):
-        return sum(w * fn(al * p) for w, al, fn
-                   in zip(weights, alphas, density_fns)) - rhs
-
-    lo, hi = 1.0, 10.0 * max(p_scale, 1.0)
-    for _ in range(60):
-        if resid(hi) >= 0.0:
-            break
-        hi *= 4.0
-    else:
-        raise InfeasibleNodeError(node_id, "no bracket for nodal pressure")
-    if resid(lo) > 0.0:
-        lo = 1e-6
-        if resid(lo) > 0.0:
-            raise InfeasibleNodeError(node_id, "no sign change in bracket")
-    return brentq(resid, lo, hi, xtol=1e-9, rtol=8.9e-16, maxiter=200)
-
-
 def flow_balance_residual(sgns, areas, phis, q: float) -> float:
     """Kirchhoff mass-balance residual sum_k sgn_k S_k phi_k - q in kg/s."""
     return float(np.dot(np.asarray(sgns, dtype=float),
@@ -226,7 +210,6 @@ def flow_balance_residual(sgns, areas, phis, q: float) -> float:
 
 def _solve_demand_node(net: Network, node: Node, ends, dt, t_half, t_next):
     """Phase-2 treatment of a withdrawal node; returns nodal pressure."""
-    eos = net.eos
     q = node.bc.withdrawal(t_half)
     if len(ends) == 1:
         # dead-end pipe: the balance pins the boundary flux directly
@@ -238,19 +221,11 @@ def _solve_demand_node(net: Network, node: Node, ends, dt, t_half, t_next):
     rho_ends = [float(end.edge.state.rho[end.cell]) for end in ends]
     inflow = sum(end.sgn * end.area * float(end.edge.state.phi[end.inner])
                  for end in ends)
-    if hasattr(eos, "density_poly"):
-        polys = [eos.density_poly(end.x) for end in ends]
-        p_l = nodal_pressure_solve(weights, alphas, rho_ends, polys, q,
-                                   inflow, node.id)
-        targets = [u * (al * p_l) + v * (al * p_l) ** 2
-                   for al, (u, v) in zip(alphas, polys)]
-    else:
-        fns = [(lambda p, x=end.x: eos.density(p, x)) for end in ends]
-        p_scale = max(eos.pressure(r, end.x) for r, end in zip(rho_ends, ends))
-        p_l = nodal_pressure_solve_generic(weights, alphas, rho_ends, fns, q,
-                                           inflow, p_scale, node.id)
-        targets = [eos.density(al * p_l, end.x)
-                   for al, end in zip(alphas, ends)]
+    polys = [net.eos.density_poly(end.x) for end in ends]
+    p_l = nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
+                               node.id)
+    targets = [u * (al * p_l) + v * (al * p_l) ** 2
+               for al, (u, v) in zip(alphas, polys)]
     for end, rho_t in zip(ends, targets):
         pipe_ops.boundary_flux_from_density(end.edge.state, end.edge.grid,
                                             end.side, rho_t, dt)
@@ -288,31 +263,40 @@ def network_step(net: Network, dt: float) -> dict:
         pipe_ops.interior_flux_update(e.state, e.geometry, e.grid, net.eos,
                                       dt, e.id)
 
-    records = {}
+    pressures = {}
     for node in net.nodes:
         ends = net.incidence[node.id]
         if node.is_slack:
-            p_l = _apply_slack_node(net, node, ends, dt, t_next)
+            pressures[node.id] = _apply_slack_node(net, node, ends, dt, t_next)
         else:
-            p_l = _solve_demand_node(net, node, ends, dt, t_half, t_next)
-        netflow = sum(end.sgn * end.area * float(end.edge.state.phi[end.face])
-                      for end in ends)
-        records[node.id] = [p_l, netflow]
+            pressures[node.id] = _solve_demand_node(net, node, ends, dt,
+                                                    t_half, t_next)
 
     for e in net.edges:
         pipe_ops.density_update(e.state, e.grid, dt, e.id)
     net.time = t_next
     net.step_index += 1
+    return {node.id: node_record(net, node, pressures[node.id])
+            for node in net.nodes}
 
-    # dead-end demand nodes have no solved pressure; report the boundary
-    # cell pressure pulled back through the local boost ratio
-    for node in net.nodes:
-        rec = records[node.id]
-        if rec[0] is None:
-            end = net.incidence[node.id][0]
-            p_b = net.eos.pressure(float(end.edge.state.rho[end.cell]), end.x)
-            rec[0] = p_b / end.ratio(t_next)
-    return {k: tuple(v) for k, v in records.items()}
+
+def node_record(net: Network, node: Node, pressure=None) -> tuple:
+    """``(pressure, net_inflow)`` of a node at the current network time.
+
+    Without a solved ``pressure``, a slack node reports its prescribed one
+    and a demand node its first boundary-cell pressure, pulled back through
+    that end's boost ratio.
+    """
+    ends = net.incidence[node.id]
+    if pressure is None and node.is_slack:
+        pressure = node.bc.pressure(net.time)
+    elif pressure is None:
+        end = ends[0]
+        p_b = net.eos.pressure(float(end.edge.state.rho[end.cell]), end.x)
+        pressure = p_b / end.ratio(net.time)
+    netflow = sum(end.sgn * end.area * float(end.edge.state.phi[end.face])
+                  for end in ends)
+    return pressure, netflow
 
 
 def check_network_cfl(net: Network, dt: float, safety: float = 1.0) -> None:

@@ -211,6 +211,7 @@ def test_criterion_8_fast_transient_velocity_contrast():
           f"{v_cnga:.2f} m/s vs {v_ideal:.2f} m/s")
 
 
+@pytest.mark.slow
 def test_criterion_8_temperature_boundary_contrast():
     fast = run_temperature_effect(1e-3, dx=200.0, t_end=16 * 3600.0,
                                   cadence=60.0)

@@ -190,3 +190,85 @@ class TestCli:
         summary = json.loads(
             (out / "fast_transient_ideal_summary.json").read_text())
         assert summary["eos"] == "ideal"
+
+
+def _mutated(path, value):
+    doc = minimal_doc()
+    *parents, key = path
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    return doc
+
+
+# inputs that once escaped validation as a traceback, or were accepted
+VALIDATION_ESCAPES = {
+    "cfl_safety_text": (("simulation", "cfl_safety"), "x"),
+    "cadence_text": (("simulation", "output_cadence"), "x"),
+    "cadence_zero": (("simulation", "output_cadence"), 0),
+    "cadence_negative": (("simulation", "output_cadence"), -5),
+    "pipes_null": (("pipes",), None),
+    "length_nan": (("pipes", 0, "length"), float("nan")),
+    "length_inf": (("pipes", 0, "length"), float("inf")),
+    "eos_kind_list": (("eos", "kind"), ["cnga"]),
+    "compressor_side_list": (("compressors",), [
+        {"pipe": "p", "side": ["inlet"], "ratio": 1.2}]),
+    "disconnected": (("nodes",), minimal_doc()["nodes"] + [
+        {"id": "c", "kind": "demand", "withdrawal": 0.0}]),
+}
+
+
+@pytest.mark.parametrize("path, value", list(VALIDATION_ESCAPES.values()),
+                         ids=list(VALIDATION_ESCAPES))
+def test_validation_escapes_are_listed(path, value, tmp_path, capsys):
+    doc = _mutated(path, value)
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", str(config)]) == 1
+    assert "error: validation: " in capsys.readouterr().err
+
+
+def test_disconnected_graph_fails_validate_and_steady(tmp_path, capsys):
+    doc = _mutated(*VALIDATION_ESCAPES["disconnected"])
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    for command in ("validate", "steady"):
+        assert main([command, str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "not connected" in err and "Traceback" not in err
+
+
+class TestStudyFlags:
+    def test_zero_flags_do_not_fall_back_to_defaults(self, capsys):
+        assert main(["five-node", "--cfl-safety", "0", "--dt", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error: validation: --dt" in err
+        assert "error: validation: --cfl-safety" in err
+
+    def test_negative_cfl_safety_rejected(self, capsys):
+        assert main(["temperature", "--cfl-safety", "-1"]) == 1
+        assert "error: validation: --cfl-safety" in capsys.readouterr().err
+
+    def test_cfl_safety_above_one_rejected(self, capsys):
+        assert main(["fast-transient", "--cfl-safety", "1.5"]) == 1
+        assert "error: validation: --cfl-safety" in capsys.readouterr().err
+
+    def test_nonpositive_study_flags_rejected(self, capsys):
+        assert main(["temperature", "--rate", "-1"]) == 1
+        assert main(["slow-transient", "--periods", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error: validation: --rate" in err
+        assert "error: validation: --periods" in err
+
+    def test_study_params_hash_is_stable(self, tmp_path):
+        out = tmp_path / "five"
+        assert main(["five-node", "--dx", "4000", "--t-end", "60",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "five_node_cnga_summary.json")
+                             .read_text())
+        assert summary["config_sha"] == config_sha(
+            {"experiment": "five-node", "eos": "cnga", "dx_target": 4000.0,
+             "t_end": 60.0, "dt": 0.125})

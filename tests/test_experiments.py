@@ -3,15 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from gasnetsim.experiments import (MassLedger, five_node_schedules,
-                                   l2_error, l2_norm,
+from gasnetsim.experiments import (MassLedger, l2_error, l2_norm,
                                    run_convergence_study,
                                    run_fast_transient,
                                    run_five_node_network,
                                    run_slow_transient,
                                    run_temperature_effect,
                                    run_traveling_wave, simulate_network,
-                                   five_node_network, SLACK_PRESSURE)
+                                   five_node_network)
 from gasnetsim.eos import CngaGas
 from gasnetsim.steady import solve_steady_state
 
@@ -161,7 +160,11 @@ class TestTemperatureEffect:
 
 class TestFiveNodeNetwork:
     def test_schedules_match_benchmark_knots(self):
-        s = five_node_schedules()
+        net = five_node_network(CngaGas(), dx_target=2000.0)
+        s = {"c1": net.edge("1").inlet_ratio, "c2": net.edge("2").inlet_ratio,
+             "c3": net.edge("5").inlet_ratio,
+             "d3": net.node("3").bc.withdrawal,
+             "d5": net.node("5").bc.withdrawal}
         c2, d5 = 1.1128863, 150.0
         for t, v in [(0.0, c2), (21600.0, c2), (25200.0, 1.4 * c2),
                      (64800.0, 1.4 * c2), (68400.0, c2), (86400.0, c2)]:
@@ -185,7 +188,9 @@ class TestFiveNodeNetwork:
         assert c3.max() <= 1.5 * 1.2242249 + 1e-9
 
     def test_boost_cross_check(self):
-        assert SLACK_PRESSURE * 1.5290113 == pytest.approx(5.2710811e6,
+        net = five_node_network(CngaGas(), dx_target=2000.0)
+        slack_pressure = net.node("1").bc.pressure(0.0)
+        assert slack_pressure * 1.5290113 == pytest.approx(5.2710811e6,
                                                            rel=1e-6)
 
     def test_short_run_summary_and_cadence(self):

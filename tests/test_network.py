@@ -6,8 +6,7 @@ from gasnetsim.errors import InfeasibleNodeError, SimulationError
 from gasnetsim.experiments import WAVE_SPEED_REF, five_node_network
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
                                flow_balance_residual, network_step,
-                               nodal_pressure_solve,
-                               nodal_pressure_solve_generic)
+                               nodal_pressure_solve)
 from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PressureBC,
                             step, uniform_state)
 from gasnetsim.profiles import Constant, Harmonic
@@ -92,18 +91,6 @@ class TestNodalPressureSolve:
         assert p_solved == pytest.approx(p4, rel=1e-6)
         p5_in = eos.pressure(eos.density(alpha5 * p_solved))
         assert p5_in == pytest.approx(4.2901680e6, rel=1e-6)
-
-    def test_generic_solver_matches_quadratic(self):
-        eos = CngaGas()
-        w = [250.0, 400.0, 120.0]
-        alphas = [1.0, 1.1, 1.0]
-        rho_ends = [40.0, 46.0, 44.0]
-        polys = [eos.density_poly()] * 3
-        p_quad = nodal_pressure_solve(w, alphas, rho_ends, polys, 50.0, 55.0)
-        fns = [lambda p: eos.density(p)] * 3
-        p_gen = nodal_pressure_solve_generic(w, alphas, rho_ends, fns, 50.0,
-                                             55.0, p_scale=7e6)
-        assert p_gen == pytest.approx(p_quad, rel=1e-9)
 
     def test_infeasible_node(self):
         eos = CngaGas()
