@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .eos import make_eos
 from .errors import ConfigError
 from .network import DemandBC, Network, Node, PipeEdge, SlackBC, \
-    graph_violations, grid_for_length
+    cell_count_violation, graph_violations, grid_for_length
 from .pipe import PipeGeometry
 from .profiles import profile_from_config
 
@@ -251,6 +251,11 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
         safety = sd.get("cfl_safety", 0.9)
         if not (_is_number(safety) and 0 < safety <= 1):
             problems.append("simulation: cfl_safety must be in (0, 1]")
+        if _is_positive(sd.get("dx_target")):
+            problems += filter(None, (
+                cell_count_violation(f"pipe {str(pd.get('id'))!r}",
+                                     pd["length"], sd["dx_target"])
+                for _, pd in pipes if _is_positive(pd.get("length"))))
 
     if problems:
         raise ConfigError(problems)

@@ -1,23 +1,27 @@
 """Equation-of-state models relating gas density and pressure.
 
-Each model provides a strictly increasing pressure map ``P`` with
-``P(0) = 0`` and exposes:
+Every model is the quadratic map ``p (b1 + b2 p) = RT rho`` of ``CngaGas``:
+the ideal gas is its ``b1 = 1, b2 = 0`` case, and the non-isothermal model
+maps positions to the gas with the local coefficients.  A gas exposes:
 
-* ``density(p, x)``   -- inverse map ``rho = P^{-1}(p)``
-* ``pressure(rho, x)`` -- forward map ``p = P(rho)``
-* ``compressibility(p, x)`` -- factor ``Z`` in ``p = Z R T rho``
-* ``wave_speed_sq(rho, x)`` -- local ``P'(rho)``, the squared wave speed
-* ``density_poly(x)`` -- coefficients ``(u, v)`` with ``rho(p) = u p + v p**2``
+* ``density(p)``   -- inverse map ``rho = P^{-1}(p)``
+* ``pressure(rho)`` -- forward map ``p = P(rho)``
+* ``compressibility(p)`` -- factor ``Z`` in ``p = Z R T rho``
+* ``wave_speed_sq(rho)`` -- local ``P'(rho)``, the squared wave speed
+* ``density_poly()`` -- coefficients ``(u, v)`` with ``rho(p) = u p + v p**2``
+* ``at(x)`` -- the gas at positions ``x``, with per-cell coefficient arrays
+  when ``x`` is an array; a uniform gas returns itself
 
-The position argument ``x`` only matters for the non-isothermal model; the
-isothermal models ignore it.  All methods accept scalars or numpy arrays.
-Models hold no mutable state after construction, so instances can be shared
-freely across concurrent runs.
+A pipe binds its gas once, ``eos.at(cell_centers)``, and ``gas[i]`` is the
+gas of cell ``i``.  All methods accept scalars or numpy arrays.  Models hold
+no mutable state after construction, so instances can be shared freely
+across concurrent runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,7 +79,7 @@ def cnga_coefficients(temperature, constants: GasConstants | None = None):
     ``b1 = 1 + c1 c2 / T**a3`` and ``b2 = c1 / (c3 T**a3)``.
     """
     temperature = np.asarray(temperature, dtype=float)
-    if np.any(temperature <= 0):
+    if not np.all(temperature > 0):
         raise ValueError("temperature must be positive")
     constants = constants or GasConstants()
     t_pow = temperature ** constants.a3
@@ -99,8 +103,12 @@ class TemperatureProfile:
     decay_rate: float = 0.0
 
     def __post_init__(self):
-        if self.ambient <= 0:
-            raise ValueError("ambient temperature must be positive")
+        # for x >= 0, T(x) lies between ambient and ambient + jump
+        if not (0 < self.ambient < math.inf and
+                0 < self.ambient + self.jump < math.inf and
+                0 <= self.decay_rate < math.inf):
+            raise ValueError("temperatures must be positive and finite and "
+                             "the decay rate non-negative")
 
     def temperature(self, x):
         x = np.asarray(x, dtype=float)
@@ -118,146 +126,101 @@ def _check_positive(value, name):
         raise ValueError(f"{name} must be positive")
 
 
-class IdealGas:
-    """Ideal gas at fixed sound speed: ``p = c**2 rho``."""
-
-    kind = "ideal"
-
-    def __init__(self, wave_speed: float):
-        if wave_speed <= 0:
-            raise ValueError("wave speed must be positive")
-        self.wave_speed = float(wave_speed)
-        self._c2 = self.wave_speed ** 2
-
-    def density(self, p, x=None):
-        _check_nonnegative(p, "pressure")
-        return np.asarray(p, dtype=float) / self._c2 if np.ndim(p) else p / self._c2
-
-    def pressure(self, rho, x=None):
-        _check_nonnegative(rho, "density")
-        return self._c2 * np.asarray(rho, dtype=float) if np.ndim(rho) else self._c2 * rho
-
-    def compressibility(self, p, x=None):
-        _check_nonnegative(p, "pressure")
-        return np.ones_like(np.asarray(p, dtype=float)) if np.ndim(p) else 1.0
-
-    def wave_speed_sq(self, rho, x=None):
-        _check_positive(rho, "density")
-        return np.full_like(np.asarray(rho, dtype=float), self._c2) if np.ndim(rho) else self._c2
-
-    def density_poly(self, x=None):
-        return 1.0 / self._c2, 0.0
-
-    def __repr__(self):
-        return f"IdealGas(wave_speed={self.wave_speed!r})"
-
-
 class CngaGas:
-    """Isothermal non-ideal gas with ``Z = 1/(b1 + b2 p)``.
+    """Non-ideal gas with ``Z = 1/(b1 + b2 p)``.
 
     The state relation ``p (b1 + b2 p) = RT rho`` gives a quadratic-in-p
     bijection; the inverse takes the positive root in the rationalized form
     ``p = 2 RT rho / (b1 + sqrt(b1**2 + 4 b2 RT rho))``, which stays exact
-    as ``b2 -> 0``.
+    at ``b2 = 0``.  The coefficients are scalars for a uniform gas or
+    per-cell arrays for a gas bound to a grid.
     """
 
-    kind = "cnga"
-
-    def __init__(self, b1: float = DEFAULT_B1, b2: float = DEFAULT_B2,
-                 rt: float = DEFAULT_RT):
-        if np.any(np.asarray(b1) < 1.0):
+    def __init__(self, b1=DEFAULT_B1, b2=DEFAULT_B2, rt=DEFAULT_RT):
+        # written as "not >=" so that NaN coefficients are rejected too
+        if not np.all(np.asarray(b1) >= 1.0):
             raise ValueError("b1 must be >= 1")
-        if np.any(np.asarray(b2) <= 0):
-            raise ValueError("b2 must be positive")
-        if np.any(np.asarray(rt) <= 0):
+        if not np.all(np.asarray(b2) >= 0):
+            raise ValueError("b2 must be non-negative")
+        if not np.all(np.asarray(rt) > 0):
             raise ValueError("RT must be positive")
         self.b1 = b1
         self.b2 = b2
         self.rt = rt
 
     @classmethod
-    def from_temperature(cls, temperature: float, gravity: float = DEFAULT_GRAVITY,
+    def from_temperature(cls, temperature, gravity: float = DEFAULT_GRAVITY,
                          constants: GasConstants | None = None) -> "CngaGas":
         """Derive the fit pair from temperature and gas gravity."""
-        constants = constants or GasConstants(gravity=gravity)
-        if constants.gravity != gravity:
-            constants = GasConstants(a1=constants.a1, a2=constants.a2,
-                                     a3=constants.a3, gravity=gravity,
-                                     c2=constants.c2, c3=constants.c3)
+        constants = replace(constants or GasConstants(), gravity=gravity)
         b1, b2 = cnga_coefficients(temperature, constants)
         rt = gas_constant_from_gravity(gravity) * temperature
         return cls(b1=b1, b2=b2, rt=rt)
 
-    def density(self, p, x=None):
+    def at(self, x) -> "CngaGas":
+        """The gas at positions ``x``: the same everywhere."""
+        return self
+
+    def __getitem__(self, i) -> "CngaGas":
+        """The gas of cell ``i`` of a gas bound to a grid."""
+        coefficients = (self.b1, self.b2, self.rt)
+        if not any(getattr(c, "ndim", 0) for c in coefficients):
+            return self
+        cell = object.__new__(CngaGas)    # skips re-validating a valid gas
+        cell.b1, cell.b2, cell.rt = (
+            float(c[i]) if getattr(c, "ndim", 0) else c for c in coefficients)
+        return cell
+
+    def density(self, p):
         _check_nonnegative(p, "pressure")
         return p * (self.b1 + self.b2 * p) / self.rt
 
-    def pressure(self, rho, x=None):
+    def pressure(self, rho):
         _check_nonnegative(rho, "density")
         rtrho = self.rt * rho
         return 2.0 * rtrho / (self.b1 + np.sqrt(self.b1 ** 2 + 4.0 * self.b2 * rtrho))
 
-    def compressibility(self, p, x=None):
+    def compressibility(self, p):
         _check_nonnegative(p, "pressure")
         return 1.0 / (self.b1 + self.b2 * p)
 
-    def wave_speed_sq(self, rho, x=None):
+    def wave_speed_sq(self, rho):
         _check_positive(rho, "density")
         return self.rt / (self.b1 + 2.0 * self.b2 * self.pressure(rho))
 
-    def density_poly(self, x=None):
+    def density_poly(self):
         return self.b1 / self.rt, self.b2 / self.rt
 
     def __repr__(self):
         return f"CngaGas(b1={self.b1!r}, b2={self.b2!r}, rt={self.rt!r})"
 
 
-class NonIsothermalCnga:
-    """Non-ideal gas with a static temperature profile along the pipe.
+class IdealGas(CngaGas):
+    """Ideal gas at fixed sound speed: ``p = c**2 rho``, the ``b2 = 0`` case
+    of CNGA with ``b1 = 1`` and ``RT = c**2``."""
 
-    Coefficients are evaluated at the sampling position of each density
-    value, so the position argument is mandatory for every method.
-    """
-
-    kind = "cnga_nonisothermal"
-
-    def __init__(self, profile: TemperatureProfile,
-                 gravity: float = DEFAULT_GRAVITY,
-                 constants: GasConstants | None = None):
-        self.profile = profile
-        self.gravity = gravity
-        self.constants = constants or GasConstants(gravity=gravity)
-        if self.constants.gravity != gravity:
-            c = self.constants
-            self.constants = GasConstants(a1=c.a1, a2=c.a2, a3=c.a3,
-                                          gravity=gravity, c2=c.c2, c3=c.c3)
-        self.gas_constant = gas_constant_from_gravity(gravity)
-
-    def _local(self, x) -> CngaGas:
-        if x is None:
-            raise ValueError("non-isothermal model requires a position x")
-        t = self.profile.temperature(x)
-        b1, b2 = cnga_coefficients(t, self.constants)
-        return CngaGas(b1=b1, b2=b2, rt=self.gas_constant * t)
-
-    def density(self, p, x=None):
-        return self._local(x).density(p)
-
-    def pressure(self, rho, x=None):
-        return self._local(x).pressure(rho)
-
-    def compressibility(self, p, x=None):
-        return self._local(x).compressibility(p)
-
-    def wave_speed_sq(self, rho, x=None):
-        return self._local(x).wave_speed_sq(rho)
-
-    def density_poly(self, x=None):
-        return self._local(x).density_poly()
+    def __init__(self, wave_speed: float):
+        if wave_speed <= 0:
+            raise ValueError("wave speed must be positive")
+        self.wave_speed = float(wave_speed)
+        super().__init__(1.0, 0.0, self.wave_speed ** 2)
 
     def __repr__(self):
-        return (f"NonIsothermalCnga(profile={self.profile!r}, "
-                f"gravity={self.gravity!r})")
+        return f"IdealGas(wave_speed={self.wave_speed!r})"
+
+
+@dataclass(frozen=True)
+class NonIsothermalCnga:
+    """Non-ideal gas with a static temperature profile along the pipe: a map
+    from positions to the CNGA gas with the local temperature's fit."""
+
+    profile: TemperatureProfile
+    gravity: float = DEFAULT_GRAVITY
+    constants: GasConstants | None = None
+
+    def at(self, x) -> CngaGas:
+        return CngaGas.from_temperature(self.profile.temperature(x),
+                                        self.gravity, self.constants)
 
 
 def make_eos(kind: str, **params):

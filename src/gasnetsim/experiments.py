@@ -132,19 +132,19 @@ def simulate_pipe(geom: PipeGeometry, grid: PipeGrid, eos, state: PipeState,
                   cfl_safety: float = 1.0) -> RunResult:
     """Run a single pipe to ``t_end``, recording boundary fields on the
     cadence and keeping the exact mass ledger."""
-    pipe_ops.check_cfl(state, grid, eos, dt, cfl_safety, pipe_id)
+    gas = eos.at(grid.cell_centers)
+    pipe_ops.check_cfl(state, grid, gas, dt, cfl_safety, pipe_id)
     store = TimeSeriesStore()
     ledger = MassLedger()
     mass0 = pipe_ops.total_mass(state, geom, grid)
     cumulative = 0.0
     n_steps = int(round((t_end - state.time) / dt))
-    xc = grid.cell_centers
 
     def sample():
         t = state.time
         v = face_velocity(state)
-        p_l = eos.pressure(state.rho[0], xc[0])
-        p_r = eos.pressure(state.rho[-1], xc[-1])
+        p_l = gas[0].pressure(state.rho[0])
+        p_r = gas[-1].pressure(state.rho[-1])
         for name, val in (("p_left", p_l), ("p_right", p_r),
                           ("rho_left", state.rho[0]),
                           ("rho_right", state.rho[-1]),
@@ -159,7 +159,7 @@ def simulate_pipe(geom: PipeGeometry, grid: PipeGrid, eos, state: PipeState,
     next_sample = state.time + cadence
     prev_mass = mass0
     for _ in range(n_steps):
-        pipe_ops.step(state, geom, grid, eos, bc_left, bc_right, dt, pipe_id)
+        pipe_ops.step(state, geom, grid, gas, bc_left, bc_right, dt, pipe_id)
         inflow = dt * pipe_ops.boundary_throughput(state, geom)
         cumulative += inflow
         mass = pipe_ops.total_mass(state, geom, grid)
@@ -214,11 +214,11 @@ def _wave_profiles(rho_mean, wave_speed, length):
     return rho_wave, phi_wave
 
 
-def _ladder_advance(rho, phi, dt, dx, k, eos, xc, phi_wave, length):
+def _ladder_advance(rho, phi, dt, dx, k, gas, phi_wave, length):
     """Half-shifted leapfrog iteration for states given as
     (rho at t, phi at t + dt/2): density update first, then fluxes."""
     rho -= (dt / dx) * np.diff(phi)
-    p = eos.pressure(rho, xc)
+    p = gas.pressure(rho)
     phi[1:-1] -= (dt / dx) * (p[1:] - p[:-1])
     t_half = (2 * k + 3) * 0.5 * dt
     phi[0] = phi_wave(0.0, t_half)
@@ -257,15 +257,15 @@ def run_convergence_study(n_levels: int = 6, ref_level: int = 6,
 
     xc_ref = (np.arange(n_ref) + 0.5) * dx_ref
     xf_ref = np.arange(n_ref + 1) * dx_ref
+    gas_ref = eos.at(xc_ref)
     rho = rho_wave(xc_ref, 0.0)
     phi = phi_wave(xf_ref, 0.5 * dt_ref)
     snap_rho, snap_phi = {0: rho.copy()}, {0: phi.copy()}
-    speed_max = math.sqrt(np.max(eos.wave_speed_sq(rho, xc_ref)))
+    speed_max = math.sqrt(np.max(gas_ref.wave_speed_sq(rho)))
     if speed_max * dt_ref > dx_ref:
         raise CflViolationError(dt_ref, dx_ref / speed_max, "convergence ref")
     for k in range(max(keep_rho | keep_phi)):
-        _ladder_advance(rho, phi, dt_ref, dx_ref, k, eos, xc_ref, phi_wave,
-                        length)
+        _ladder_advance(rho, phi, dt_ref, dx_ref, k, gas_ref, phi_wave, length)
         if k + 1 in keep_rho:
             snap_rho[k + 1] = rho.copy()
         if k + 1 in keep_phi:
@@ -279,6 +279,7 @@ def run_convergence_study(n_levels: int = 6, ref_level: int = 6,
         n_c = base_cells * 3 ** lvl
         dt_c, dx_c = dts[lvl], length / n_c
         xc = (np.arange(n_c) + 0.5) * dx_c
+        gas = eos.at(xc)
         centers = 3 ** m * np.arange(n_c) + (3 ** m - 1) // 2
         stride = 3 ** m
         for proto in ("transport", "one_step"):
@@ -286,8 +287,8 @@ def run_convergence_study(n_levels: int = 6, ref_level: int = 6,
             phi_c = snap_phi[(3 ** m - 1) // 2][::stride].copy()
             n_steps = round(t_common / dt_c) if proto == "transport" else 1
             for k in range(n_steps):
-                _ladder_advance(rho_c, phi_c, dt_c, dx_c, k, eos, xc,
-                                phi_wave, length)
+                _ladder_advance(rho_c, phi_c, dt_c, dx_c, k, gas, phi_wave,
+                                length)
             if proto == "transport":
                 k_rho = steps_common
                 k_phi = steps_common + (3 ** m - 1) // 2
@@ -296,8 +297,8 @@ def run_convergence_study(n_levels: int = 6, ref_level: int = 6,
                 k_phi = (3 ** (m + 1) - 1) // 2
             rho_f = snap_rho[k_rho][centers]
             phi_f = snap_phi[k_phi][::stride]
-            p_c = eos.pressure(rho_c, xc)
-            p_f = eos.pressure(rho_f, xc)
+            p_c = gas.pressure(rho_c)
+            p_f = gas.pressure(rho_f)
             errors[proto]["rho"].append(l2_norm(rho_c, rho_f, dx_c))
             errors[proto]["p"].append(l2_norm(p_c, p_f, dx_c))
             errors[proto]["phi"].append(l2_norm(phi_c, phi_f, dx_c))
@@ -437,7 +438,7 @@ def run_temperature_effect(decay_rate: float = 1e-3, dx: float = 200.0,
     if dt is None:
         # bound the wave speed at the hottest point (the inlet) so runs with
         # different decay rates share the same step and sample times
-        dt = cfl_safety * grid.dx / math.sqrt(eos.wave_speed_sq(rho0, 0.0))
+        dt = cfl_safety * grid.dx / math.sqrt(eos.at(0.0).wave_speed_sq(rho0))
     bc_l = PressureBC(_HoldThenHarmonic(p0, t1, 0.1, 6 * np.pi / t_scale))
     bc_r = FluxBC(_HoldThenHarmonic(phi0, t1, 0.1, 4 * np.pi / t_scale))
     result = simulate_pipe(geom, grid, eos, state, bc_l, bc_r, dt, t_end,
@@ -475,8 +476,7 @@ def five_node_network(eos, dx_target: float = 62.5) -> Network:
     """The five-node / five-pipe benchmark network of the bundled config,
     with its schedules, on the given EoS model."""
     net = build_network(load_config(FIVE_NODE_CONFIG), dx_target)
-    net.eos = eos
-    return net
+    return Network(net.nodes, net.edges, eos)
 
 
 def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
@@ -498,11 +498,10 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
             store.add(t, "node", node_id, "pressure", p)
             store.add(t, "node", node_id, "net_flow", netflow)
         for e in net.edges:
-            xc = e.grid.cell_centers
             store.add(t, "pipe", e.id, "p_in",
-                      net.eos.pressure(float(e.state.rho[0]), xc[0]))
+                      e.gas[0].pressure(float(e.state.rho[0])))
             store.add(t, "pipe", e.id, "p_out",
-                      net.eos.pressure(float(e.state.rho[-1]), xc[-1]))
+                      e.gas[-1].pressure(float(e.state.rho[-1])))
             store.add(t, "pipe", e.id, "mflow_in",
                       e.geometry.area * float(e.state.phi[0]))
             store.add(t, "pipe", e.id, "mflow_out",

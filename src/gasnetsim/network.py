@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pipe as pipe_ops
+from .eos import CngaGas
 from .errors import (CflViolationError, ConfigError, InfeasibleNodeError,
                      SimulationError)
 from .pipe import LEFT, RIGHT, PipeGeometry, PipeGrid, PipeState
 from .profiles import Constant, TimeProfile
 
 UNIT_RATIO = Constant(1.0)
+MAX_CELLS = 10 ** 7    # per pipe
 
 
 @dataclass
@@ -62,6 +64,7 @@ class PipeEdge:
     state: PipeState | None = None
     inlet_ratio: TimeProfile | None = None    # compressor node -> pipe inlet
     outlet_ratio: TimeProfile | None = None   # compressor node -> pipe outlet
+    gas: CngaGas | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -74,7 +77,7 @@ class _End:
     cell: int           # boundary cell index into rho
     face: int           # boundary face index into phi
     inner: int          # face adjacent to the boundary face
-    x: float            # boundary cell-center coordinate
+    gas: CngaGas        # gas of the boundary cell
     ratio: TimeProfile = UNIT_RATIO
 
     @property
@@ -127,7 +130,8 @@ def graph_violations(nodes, pipes) -> list[str]:
 
 
 class Network:
-    """Validated pipe graph with one shared EoS model."""
+    """Validated pipe graph with one shared EoS model, bound to every pipe's
+    cells as ``edge.gas``."""
 
     def __init__(self, nodes, edges, eos, time: float = 0.0):
         self.nodes = list(nodes)
@@ -142,13 +146,13 @@ class Network:
             raise ConfigError(problems)
         self.incidence = {n.id: [] for n in self.nodes}
         for e in self.edges:
-            xc = e.grid.cell_centers
+            e.gas = eos.at(e.grid.cell_centers)
             self.incidence[e.from_node].append(_End(
                 edge=e, sgn=-1, side=LEFT, cell=0, face=0, inner=1,
-                x=float(xc[0]), ratio=e.inlet_ratio or UNIT_RATIO))
+                gas=e.gas[0], ratio=e.inlet_ratio or UNIT_RATIO))
             self.incidence[e.to_node].append(_End(
                 edge=e, sgn=+1, side=RIGHT, cell=-1, face=-1, inner=-2,
-                x=float(xc[-1]), ratio=e.outlet_ratio or UNIT_RATIO))
+                gas=e.gas[-1], ratio=e.outlet_ratio or UNIT_RATIO))
         self._dual_compressor_edges = [e for e in self.edges
                                        if e.inlet_ratio and e.outlet_ratio]
 
@@ -179,7 +183,7 @@ class Network:
                    for e in self.edges)
 
     def cfl_max_dt(self, safety: float = 1.0) -> float:
-        return min(pipe_ops.cfl_max_dt(e.state, e.grid, self.eos, safety)
+        return min(pipe_ops.cfl_max_dt(e.state, e.grid, e.gas, safety)
                    for e in self.edges)
 
 
@@ -208,7 +212,7 @@ def flow_balance_residual(sgns, areas, phis, q: float) -> float:
                         np.asarray(phis, dtype=float))) - q
 
 
-def _solve_demand_node(net: Network, node: Node, ends, dt, t_half, t_next):
+def _solve_demand_node(node: Node, ends, dt, t_half, t_next):
     """Phase-2 treatment of a withdrawal node; returns nodal pressure."""
     q = node.bc.withdrawal(t_half)
     if len(ends) == 1:
@@ -221,7 +225,7 @@ def _solve_demand_node(net: Network, node: Node, ends, dt, t_half, t_next):
     rho_ends = [float(end.edge.state.rho[end.cell]) for end in ends]
     inflow = sum(end.sgn * end.area * float(end.edge.state.phi[end.inner])
                  for end in ends)
-    polys = [net.eos.density_poly(end.x) for end in ends]
+    polys = [end.gas.density_poly() for end in ends]
     p_l = nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
                                node.id)
     targets = [u * (al * p_l) + v * (al * p_l) ** 2
@@ -232,11 +236,11 @@ def _solve_demand_node(net: Network, node: Node, ends, dt, t_half, t_next):
     return p_l
 
 
-def _apply_slack_node(net: Network, node: Node, ends, dt, t_next):
+def _apply_slack_node(node: Node, ends, dt, t_next):
     p_l = node.bc.pressure(t_next)
     for end in ends:
         alpha = end.ratio(t_next)
-        rho_t = net.eos.density(alpha * p_l, end.x)
+        rho_t = end.gas.density(alpha * p_l)
         pipe_ops.boundary_flux_from_density(end.edge.state, end.edge.grid,
                                             end.side, rho_t, dt)
     return p_l
@@ -260,17 +264,17 @@ def network_step(net: Network, dt: float) -> dict:
                 f"compressors at both ends of pipe {e.id} active at t={t_next}")
 
     for e in net.edges:
-        pipe_ops.interior_flux_update(e.state, e.geometry, e.grid, net.eos,
-                                      dt, e.id)
+        pipe_ops.interior_flux_update(e.state, e.geometry, e.grid, e.gas, dt,
+                                      e.id)
 
     pressures = {}
     for node in net.nodes:
         ends = net.incidence[node.id]
         if node.is_slack:
-            pressures[node.id] = _apply_slack_node(net, node, ends, dt, t_next)
+            pressures[node.id] = _apply_slack_node(node, ends, dt, t_next)
         else:
-            pressures[node.id] = _solve_demand_node(net, node, ends, dt,
-                                                    t_half, t_next)
+            pressures[node.id] = _solve_demand_node(node, ends, dt, t_half,
+                                                    t_next)
 
     for e in net.edges:
         pipe_ops.density_update(e.state, e.grid, dt, e.id)
@@ -292,7 +296,7 @@ def node_record(net: Network, node: Node, pressure=None) -> tuple:
         pressure = node.bc.pressure(net.time)
     elif pressure is None:
         end = ends[0]
-        p_b = net.eos.pressure(float(end.edge.state.rho[end.cell]), end.x)
+        p_b = end.gas.pressure(float(end.edge.state.rho[end.cell]))
         pressure = p_b / end.ratio(net.time)
     netflow = sum(end.sgn * end.area * float(end.edge.state.phi[end.face])
                   for end in ends)
@@ -306,7 +310,18 @@ def check_network_cfl(net: Network, dt: float, safety: float = 1.0) -> None:
         raise CflViolationError(dt, dt_max, "network")
 
 
+def cell_count_violation(pipe: str, length: float, dx: float) -> str | None:
+    """Why ``length`` cannot be gridded at spacing ``dx``: ``length/dx`` is
+    not a finite cell count of at most MAX_CELLS."""
+    if length / dx <= MAX_CELLS:
+        return None
+    return f"{pipe}: length {length:g} m at dx {dx:g} m asks for " \
+        f"{length / dx:g} cells, more than {MAX_CELLS:g}"
+
+
 def grid_for_length(length: float, dx_target: float) -> PipeGrid:
     """Grid matching the pipe length exactly with spacing near dx_target."""
-    n = max(2, round(length / dx_target))
-    return PipeGrid(length=length, n_cells=n)
+    problem = cell_count_violation("pipe", length, dx_target)
+    if problem:
+        raise ConfigError([problem])
+    return PipeGrid(length=length, n_cells=max(2, round(length / dx_target)))

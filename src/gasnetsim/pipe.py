@@ -113,13 +113,14 @@ def friction_invert(y, a):
 
 
 def interior_flux_update(state: PipeState, geom: PipeGeometry, grid: PipeGrid,
-                         eos, dt: float, pipe_id: str = "") -> None:
-    """Advance the interior-face fluxes one step using current densities.
+                         gas, dt: float, pipe_id: str = "") -> None:
+    """Advance the interior-face fluxes one step using current densities and
+    the gas bound to the cells.
 
     Each face decouples: with ``a = beta dt / (rho_i + rho_{i+1})`` the new
     flux solves ``x (1 + a |x|) = phi - (dt/dx)(p_{i+1} - p_i) - a phi|phi|``.
     """
-    p = eos.pressure(state.rho, grid.cell_centers)
+    p = gas.pressure(state.rho)
     a = geom.beta * dt / (state.rho[:-1] + state.rho[1:])
     phi = state.phi[1:-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,12 +161,12 @@ def density_update(state: PipeState, grid: PipeGrid, dt: float,
     state.time += dt
 
 
-def cfl_max_dt(state: PipeState, grid: PipeGrid, eos, safety: float = 1.0) -> float:
+def cfl_max_dt(state: PipeState, grid: PipeGrid, gas, safety: float = 1.0) -> float:
     """Largest stable step ``safety * dx / max sqrt(P'(rho))`` over the
     current density field (frozen-coefficient bound)."""
     if not 0.0 < safety <= 1.0:
         raise ValueError("cfl safety must be in (0, 1]")
-    speed = np.sqrt(np.max(eos.wave_speed_sq(state.rho, grid.cell_centers)))
+    speed = np.sqrt(np.max(gas.wave_speed_sq(state.rho)))
     return safety * grid.dx / speed
 
 
@@ -184,7 +185,7 @@ class FluxBC:
     def __init__(self, profile):
         self.profile = profile
 
-    def apply(self, state, geom, grid, eos, side, dt):
+    def apply(self, state, geom, grid, gas, side, dt):
         value = self.profile(state.time + 0.5 * dt)
         state.phi[0 if side == LEFT else -1] = value
 
@@ -196,29 +197,29 @@ class DensityBC:
     def __init__(self, profile):
         self.profile = profile
 
-    def target_density(self, state, grid, eos, side, dt):
+    def target_density(self, state, grid, gas, side, dt):
         return self.profile(state.time + dt)
 
-    def apply(self, state, geom, grid, eos, side, dt):
-        rho_t = self.target_density(state, grid, eos, side, dt)
+    def apply(self, state, geom, grid, gas, side, dt):
+        rho_t = self.target_density(state, grid, gas, side, dt)
         boundary_flux_from_density(state, grid, side, rho_t, dt)
 
 
 class PressureBC(DensityBC):
-    """Prescribed boundary pressure; converted to density through the EoS
-    at the boundary cell center."""
+    """Prescribed boundary pressure; converted to density through the gas
+    of the boundary cell."""
 
-    def target_density(self, state, grid, eos, side, dt):
-        x = grid.cell_centers[0 if side == LEFT else -1]
-        return eos.density(self.profile(state.time + dt), x)
+    def target_density(self, state, grid, gas, side, dt):
+        end_gas = gas[0 if side == LEFT else -1]
+        return end_gas.density(self.profile(state.time + dt))
 
 
-def step(state: PipeState, geom: PipeGeometry, grid: PipeGrid, eos,
+def step(state: PipeState, geom: PipeGeometry, grid: PipeGrid, gas,
          bc_left, bc_right, dt: float, pipe_id: str = "") -> PipeState:
     """One full explicit step: interior fluxes, boundary fluxes, densities."""
-    interior_flux_update(state, geom, grid, eos, dt, pipe_id)
-    bc_left.apply(state, geom, grid, eos, LEFT, dt)
-    bc_right.apply(state, geom, grid, eos, RIGHT, dt)
+    interior_flux_update(state, geom, grid, gas, dt, pipe_id)
+    bc_left.apply(state, geom, grid, gas, LEFT, dt)
+    bc_right.apply(state, geom, grid, gas, RIGHT, dt)
     density_update(state, grid, dt, pipe_id)
     return state
 
@@ -233,8 +234,8 @@ def face_velocity(state: PipeState) -> np.ndarray:
     return state.phi / rho_face
 
 
-def check_cfl(state: PipeState, grid: PipeGrid, eos, dt: float,
+def check_cfl(state: PipeState, grid: PipeGrid, gas, dt: float,
               safety: float = 1.0, where: str = "") -> None:
-    dt_max = cfl_max_dt(state, grid, eos, safety)
+    dt_max = cfl_max_dt(state, grid, gas, safety)
     if dt > dt_max:
         raise CflViolationError(dt, dt_max, where)

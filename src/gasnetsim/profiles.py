@@ -1,7 +1,9 @@
 """Time-varying schedules for boundary data, withdrawals and boost ratios.
 
 A profile maps time in seconds to a value; profiles with a ``period`` wrap
-time first (``t mod period``).  Instances are immutable and freely shared.
+time first (``t mod period``).  Every number a profile is built from must be
+finite, except that a step sequence's last interval may end at ``+inf``.
+Instances are immutable and freely shared.
 """
 
 from __future__ import annotations
@@ -9,6 +11,14 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
+
+
+def _finite(value, name) -> float:
+    """``value`` as a float; raises ValueError unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _frozen(value):
@@ -26,8 +36,8 @@ class TimeProfile:
     kind = ""
 
     def __init__(self, period: float | None = None):
-        if period is not None and period <= 0:
-            raise ValueError("period must be positive")
+        if period is not None and not 0 < period < math.inf:
+            raise ValueError("period must be positive and finite")
         self.period = period
 
     def evaluate(self, t: float) -> float:
@@ -67,7 +77,7 @@ class Constant(TimeProfile):
 
     def __init__(self, value: float, period: float | None = None):
         super().__init__(period)
-        self.value = float(value)
+        self.value = _finite(value, "value")
 
     def _value(self, t):
         return self.value
@@ -89,10 +99,10 @@ class Harmonic(TimeProfile):
                  phase: float = 0.0, relative: bool = False,
                  period: float | None = None):
         super().__init__(period)
-        self.offset = float(offset)
-        self.amplitude = float(amplitude)
-        self.omega = float(omega)
-        self.phase = float(phase)
+        self.offset = _finite(offset, "offset")
+        self.amplitude = _finite(amplitude, "amplitude")
+        self.omega = _finite(omega, "omega")
+        self.phase = _finite(phase, "phase")
         self.relative = bool(relative)
 
     def _value(self, t):
@@ -114,7 +124,8 @@ class PiecewiseLinear(TimeProfile):
 
     def __init__(self, knots, period: float | None = None, strict: bool = False):
         super().__init__(period)
-        knots = [(float(t), float(v)) for t, v in knots]
+        knots = [(_finite(t, "knot time"), _finite(v, "knot value"))
+                 for t, v in knots]
         if len(knots) < 2:
             raise ValueError("need at least two knots")
         times = [t for t, _ in knots]
@@ -154,10 +165,12 @@ class StepSequence(TimeProfile):
 
     def __init__(self, intervals, period: float | None = None):
         super().__init__(period)
-        intervals = [(float(te), float(v)) for te, v in intervals]
+        intervals = [(float(te), _finite(v, "value")) for te, v in intervals]
         if not intervals:
             raise ValueError("need at least one interval")
         ends = [te for te, _ in intervals]
+        if not all(map(math.isfinite, ends[:-1])) or not -math.inf < ends[-1]:
+            raise ValueError("interval ends must be finite (the last may be +inf)")
         if any(b <= a for a, b in zip(ends, ends[1:])):
             raise ValueError("interval ends must be strictly increasing")
         self.intervals = tuple(intervals)

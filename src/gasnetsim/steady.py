@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import SteadyStateError
 from .network import Network
@@ -40,6 +39,9 @@ def integrate_pipe_pressure(eos, geometry, p_in: float, mflow: float,
     continues linearly downward so a Newton caller sees a monotone,
     strongly negative residual instead of a crash.
     """
+    # imported on first use: it costs ~50 MB and ~0.7 s, which runs that
+    # never integrate a steady profile (the single-pipe studies) skip
+    from scipy.integrate import solve_ivp
     length = geometry.length
     phi = mflow / geometry.area
     if p_in <= PRESSURE_FLOOR:
@@ -49,7 +51,7 @@ def integrate_pipe_pressure(eos, geometry, p_in: float, mflow: float,
     drag = geometry.beta * phi * abs(phi)
 
     def rhs(x, p):
-        return [-drag / eos.density(max(p[0], PRESSURE_FLOOR), x)]
+        return [-drag / eos.at(x).density(max(p[0], PRESSURE_FLOOR))]
 
     def hit_floor(x, p):
         return p[0] - PRESSURE_FLOOR
@@ -58,7 +60,7 @@ def integrate_pipe_pressure(eos, geometry, p_in: float, mflow: float,
     sol = solve_ivp(rhs, (0.0, length), [p_in], rtol=ODE_RTOL, atol=1e-2,
                     events=hit_floor, dense_output=dense)
     if sol.t[-1] < length:
-        slope = drag / eos.density(PRESSURE_FLOOR, sol.t[-1])
+        slope = drag / eos.at(sol.t[-1]).density(PRESSURE_FLOOR)
         p_out = PRESSURE_FLOOR - slope * (length - sol.t[-1])
         return p_out, None
     profile = (lambda x, s=sol: s.sol(np.asarray(x, dtype=float))[0]) \
@@ -79,8 +81,8 @@ class SteadySolution:
         """Write cell densities and face fluxes into every pipe state."""
         for e in net.edges:
             prof = self.profiles[e.id]
-            xc = e.grid.cell_centers
-            rho = np.asarray(net.eos.density(prof(xc), xc), dtype=float)
+            rho = np.asarray(e.gas.density(prof(e.grid.cell_centers)),
+                             dtype=float)
             phi = np.full(e.grid.n_cells + 1,
                           self.pipe_flows[e.id] / e.geometry.area)
             e.state = PipeState(rho, phi, time=t0)

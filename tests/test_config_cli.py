@@ -216,6 +216,21 @@ VALIDATION_ESCAPES = {
         {"pipe": "p", "side": ["inlet"], "ratio": 1.2}]),
     "disconnected": (("nodes",), minimal_doc()["nodes"] + [
         {"id": "c", "kind": "demand", "withdrawal": 0.0}]),
+    "slack_pressure_nan": (("nodes", 0, "pressure"), float("nan")),
+    "slack_pressure_inf": (("nodes", 0, "pressure"), float("inf")),
+    "amplitude_nan": (("nodes", 1, "withdrawal"), {
+        "type": "harmonic", "offset": 100.0, "amplitude": float("nan"),
+        "omega": 1e-4}),
+    "period_nan": (("nodes", 1, "withdrawal"), {
+        "type": "constant", "value": 100.0, "period": float("nan")}),
+    "knot_time_inf": (("nodes", 1, "withdrawal"), {
+        "type": "piecewise_linear",
+        "knots": [[0.0, 100.0], [float("inf"), 120.0]]}),
+    "temperature_below_zero": (("eos",), {
+        "kind": "cnga_nonisothermal", "t_ambient": 10.0, "t_jump": -20.0,
+        "decay_rate": 1e-3, "gas_gravity": 0.65}),
+    "length_1e12": (("pipes", 0, "length"), 1e12),
+    "length_1e308": (("pipes", 0, "length"), 1e308),
 }
 
 
@@ -241,6 +256,20 @@ def test_disconnected_graph_fails_validate_and_steady(tmp_path, capsys):
         assert "not connected" in err and "Traceback" not in err
 
 
+def test_nonisothermal_network_runs(five_node_path, tmp_path):
+    doc = json.loads(five_node_path.read_text())
+    doc["eos"] = {"kind": "cnga_nonisothermal", "t_ambient": 288.706,
+                  "t_jump": 40.0, "decay_rate": 1e-3, "gas_gravity": 0.650784}
+    path = tmp_path / "noniso.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "noniso"
+    assert main(["run", str(path), "--dx", "4000", "--t-end", "120",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["max_ledger_discrepancy_kg"] <= \
+        1e-12 * summary["total_mass_kg"]
+
+
 class TestStudyFlags:
     def test_zero_flags_do_not_fall_back_to_defaults(self, capsys):
         assert main(["five-node", "--cfl-safety", "0", "--dt", "0"]) == 1
@@ -262,6 +291,14 @@ class TestStudyFlags:
         err = capsys.readouterr().err
         assert "error: validation: --rate" in err
         assert "error: validation: --periods" in err
+
+    def test_cell_count_is_bounded_before_allocation(self, five_node_path,
+                                                     capsys):
+        assert main(["temperature", "--dx", "1e-9"]) == 1
+        assert main(["steady", str(five_node_path), "--dx", "1e-9"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: validation: pipe") == 2
+        assert "Traceback" not in err
 
     def test_study_params_hash_is_stable(self, tmp_path):
         out = tmp_path / "five"

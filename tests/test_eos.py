@@ -84,10 +84,39 @@ def test_roundtrip_bijection(model):
 
 def test_roundtrip_bijection_nonisothermal():
     model = NonIsothermalCnga(TemperatureProfile(288.706, 40.0, 1e-3))
-    x = np.linspace(0.0, 1e5, 7)
+    gas = model.at(np.linspace(0.0, 1e5, 7))
     for p in np.geomspace(1e5, 1e7, 9):
-        back = model.pressure(model.density(p, x), x)
+        back = gas.pressure(gas.density(p))
         assert np.max(np.abs(back - p) / p) <= 1e-10
+
+
+@pytest.mark.parametrize("decay_rate", [1e-3, 1e-4])
+def test_nonisothermal_binding_matches_pointwise(decay_rate):
+    # a pipe's end gases are cells of its bound gas, so binding on the
+    # cell centers must agree bit for bit with binding at each position
+    model = NonIsothermalCnga(TemperatureProfile(288.706, 40.0, decay_rate))
+    xc = (np.arange(500) + 0.5) * 200.0
+    gas = model.at(xc)
+    for i, x in enumerate(xc):
+        point = model.at(float(x))
+        assert (gas[i].b1, gas[i].b2, gas[i].rt) == \
+            (point.b1, point.b2, point.rt)
+        assert (gas.b1[i], gas.b2[i], gas.rt[i]) == \
+            (point.b1, point.b2, point.rt)
+
+
+def test_ideal_gas_is_the_b2_zero_cnga_exactly():
+    c = 377.9683
+    ideal = IdealGas(c)
+    assert (ideal.b1, ideal.b2, ideal.rt) == (1.0, 0.0, c ** 2)
+    rho = np.geomspace(1e-3, 200.0, 1000)
+    assert np.array_equal(ideal.pressure(rho), c ** 2 * rho)
+    assert np.array_equal(ideal.density(c ** 2 * rho), c ** 2 * rho / c ** 2)
+    assert ideal.at(rho) is ideal and ideal[3] is ideal
+    assert repr(ideal) == "IdealGas(wave_speed=377.9683)"
+    assert make_eos("cnga", b2=0.0).b2 == 0.0
+    with pytest.raises(ValueError):
+        CngaGas(b2=-1e-9)
 
 
 def test_pressure_strictly_increasing():
@@ -103,10 +132,11 @@ def test_pressure_strictly_increasing():
     (NonIsothermalCnga(TemperatureProfile(288.706, 40.0, 1e-3)), 123.0),
 ])
 def test_wave_speed_matches_finite_difference(model, x):
+    gas = model.at(x)
     h = 1e-4
     for rho in (5.0, 56.817, 150.0):
-        fd = (model.pressure(rho + h, x) - model.pressure(rho - h, x)) / (2 * h)
-        assert model.wave_speed_sq(rho, x) == pytest.approx(fd, rel=1e-6)
+        fd = (gas.pressure(rho + h) - gas.pressure(rho - h)) / (2 * h)
+        assert gas.wave_speed_sq(rho) == pytest.approx(fd, rel=1e-6)
 
 
 def test_wave_speed_limits_and_errors():
@@ -173,4 +203,4 @@ def test_make_eos_variants():
 def test_nonisothermal_requires_position():
     model = NonIsothermalCnga(TemperatureProfile(288.706, 40.0, 1e-3))
     with pytest.raises(ValueError):
-        model.density(1e6)
+        model.at(None)

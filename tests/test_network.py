@@ -214,6 +214,13 @@ class TestNetworkStep:
         with pytest.raises(SimulationError, match="both ends"):
             network_step(bad, 1.0)
 
+    def test_ideal_gas_binds_with_zero_b2(self):
+        net = five_node_network(IdealGas(WAVE_SPEED_REF), dx_target=2000.0)
+        gases = [e.gas for e in net.edges] + \
+            [end.gas for ends in net.incidence.values() for end in ends]
+        assert len(gases) == 3 * len(net.edges)
+        assert all(gas.b2 == 0 for gas in gases)
+
     def test_network_mass_ledger(self):
         eos = CngaGas()
         net = five_node_network(eos, dx_target=2000.0)

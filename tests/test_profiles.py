@@ -77,6 +77,32 @@ def test_step_sequence_right_open_intervals():
     assert p(1e6) == 120.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda bad: Constant(bad),
+    lambda bad: Constant(1.0, period=bad),
+    lambda bad: Harmonic(offset=bad, amplitude=0.1, omega=0.5),
+    lambda bad: Harmonic(offset=1.0, amplitude=bad, omega=0.5),
+    lambda bad: Harmonic(offset=1.0, amplitude=0.1, omega=bad),
+    lambda bad: Harmonic(offset=1.0, amplitude=0.1, omega=0.5, phase=bad),
+    lambda bad: PiecewiseLinear([(0.0, 1.0), (bad, 2.0)]),
+    lambda bad: PiecewiseLinear([(0.0, bad), (5.0, 2.0)]),
+    lambda bad: StepSequence([(bad, 1.0), (5.0, 2.0)]),
+    lambda bad: StepSequence([(1.0, 1.0), (5.0, bad)]),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_rejected(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
+def test_step_sequence_last_end_may_be_infinite():
+    p = StepSequence([(600.0, 0.0), (math.inf, 120.0)])
+    assert p(1e12) == 120.0
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            StepSequence([(600.0, 0.0), (bad, 120.0)])
+
+
 def test_config_round_trip():
     profiles = [
         Constant(150.0),
