@@ -117,12 +117,12 @@ class TemperatureProfile:
 
 
 def _check_nonnegative(value, name):
-    if np.any(np.asarray(value) < 0):
+    if (np.asarray(value) < 0).any():
         raise ValueError(f"{name} must be non-negative")
 
 
 def _check_positive(value, name):
-    if np.any(np.asarray(value) <= 0):
+    if (np.asarray(value) <= 0).any():
         raise ValueError(f"{name} must be positive")
 
 

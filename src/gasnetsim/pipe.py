@@ -104,7 +104,7 @@ def friction_invert(y, a):
     Uses the rationalized root ``sign(y) 2|y| / (1 + sqrt(1 + 4 a |y|))``,
     which is exact at a = 0 and avoids cancellation for small ``a |y|``.
     """
-    if np.any(np.asarray(a) < 0):
+    if (np.asarray(a) < 0).any():
         raise ValueError("friction context a must be non-negative")
     y = np.asarray(y, dtype=float)
     ay = np.abs(y)
@@ -126,7 +126,7 @@ def interior_flux_update(state: PipeState, geom: PipeGeometry, grid: PipeGrid,
     with np.errstate(over="ignore", invalid="ignore"):
         y = phi - (dt / grid.dx) * (p[1:] - p[:-1]) - a * phi * np.abs(phi)
         new = friction_invert(y, a)
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         face = int(np.flatnonzero(~np.isfinite(new))[0]) + 1
         raise UnstableRunError(state.step_index, face, pipe_id)
     state.phi[1:-1] = new
@@ -150,8 +150,8 @@ def boundary_flux_from_density(state: PipeState, grid: PipeGrid, side: str,
 def density_update(state: PipeState, grid: PipeGrid, dt: float,
                    pipe_id: str = "") -> None:
     """Advance densities one step from the face fluxes; advances time."""
-    state.rho -= (dt / grid.dx) * np.diff(state.phi)
-    if not np.all(state.rho > 0):
+    state.rho -= (dt / grid.dx) * (state.phi[1:] - state.phi[:-1])
+    if not (state.rho > 0).all():
         bad = state.rho <= 0
         if not np.all(np.isfinite(state.rho)):
             bad = bad | ~np.isfinite(state.rho)
@@ -171,7 +171,7 @@ def cfl_max_dt(state: PipeState, grid: PipeGrid, gas, safety: float = 1.0) -> fl
 
 
 def total_mass(state: PipeState, geom: PipeGeometry, grid: PipeGrid) -> float:
-    return geom.area * grid.dx * float(np.sum(state.rho))
+    return geom.area * grid.dx * float(state.rho.sum())
 
 
 def boundary_throughput(state: PipeState, geom: PipeGeometry) -> float:
