@@ -91,10 +91,6 @@ def _finish(result, name, out_dir, started, params):
     summary = dict(result.summary)
     summary["config_sha"] = config_sha(params)
     summary["wall_seconds"] = _time.monotonic() - started
-    summary.setdefault("steps", 0)
-    summary.setdefault("max_ledger_discrepancy_kg",
-                       result.ledger.max_abs_discrepancy()
-                       if result.ledger else 0.0)
     write_summary(summary, out_dir / f"{name}_summary.json")
     print(f"wrote {out_dir / (name + '.csv')}")
     return 0

@@ -18,9 +18,8 @@ from numpy import trapezoid
 from . import pipe as pipe_ops
 from .config import build_network, load_config
 from .eos import CngaGas, IdealGas, NonIsothermalCnga, TemperatureProfile
-from .errors import CflViolationError, SimulationError
-from .network import Network, check_network_cfl, grid_for_length, \
-    network_step, node_record
+from .errors import CflViolationError, ConfigError, SimulationError
+from .network import Network, grid_for_length, network_step, node_record
 from .pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState, PressureBC,
                    face_velocity, uniform_state)
 from .profiles import Constant, Harmonic, StepSequence
@@ -88,7 +87,7 @@ class MassLedger:
 class RunResult:
     store: TimeSeriesStore
     summary: dict
-    ledger: MassLedger | None = None
+    ledger: MassLedger
 
 
 # ---------------------------------------------------------------------------
@@ -124,55 +123,89 @@ def l2_norm(field_a, field_b, dx: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-pipe simulation loop
+# the time march shared by both runners
+
+def _march(now, advance, total_mass, inflow_rate, sample, dt, dt_max,
+           t_end, cadence, where, writer=None) -> RunResult:
+    """Step a run from ``now()`` to ``t_end``, keeping the exact mass
+    ledger and sampling on the cadence.
+
+    A step count that is not finite is a ``ConfigError``; ``dt`` above the
+    stability bound ``dt_max`` is a ``CflViolationError`` naming ``where``.
+    ``advance()`` takes one step and returns what ``sample(store, t, out)``
+    records; the first sample, taken before any step, gets ``out=None``.
+    Each step must change ``total_mass()`` by ``dt * inflow_rate()`` to
+    within 1e-12 of the mass.  Each sample's rows go to ``writer`` as soon
+    as they are recorded.
+    """
+    t0 = now()
+    steps = (t_end - t0) / dt
+    if not math.isfinite(steps):
+        raise ConfigError([f"(t_end - t0)/dt = ({t_end:g} - {t0:g})/{dt:g} "
+                           f"is not a finite step count"])
+    n_steps = int(round(steps))
+    if dt > dt_max:
+        raise CflViolationError(dt, dt_max, where)
+    store = TimeSeriesStore()
+    ledger = MassLedger()
+    mass0 = prev_mass = total_mass()
+    cumulative = 0.0
+    written = 0
+
+    def record(out, mass):
+        nonlocal written
+        t = now()
+        sample(store, t, out)
+        ledger.sample(t, mass, cumulative, mass0, store)
+        if writer is not None:
+            writer.write_rows(store.rows[written:])
+            written = len(store.rows)
+
+    record(None, mass0)
+    next_sample = t0 + cadence
+    for k in range(1, n_steps + 1):
+        out = advance()
+        inflow = dt * inflow_rate()
+        cumulative += inflow
+        mass = total_mass()
+        if abs(mass - prev_mass - inflow) > 1e-12 * max(mass, 1.0):
+            raise SimulationError(
+                f"mass ledger identity broken at step {k} (t={now():g} s)")
+        prev_mass = mass
+        if now() >= next_sample - 1e-9 * dt:
+            record(out, mass)
+            next_sample += cadence
+    summary = {"steps": n_steps,
+               "max_ledger_discrepancy_kg": ledger.max_abs_discrepancy()}
+    return RunResult(store=store, summary=summary, ledger=ledger)
+
 
 def simulate_pipe(geom: PipeGeometry, grid: PipeGrid, eos, state: PipeState,
                   bc_left, bc_right, dt: float, t_end: float,
-                  cadence: float, pipe_id: str = "main",
-                  cfl_safety: float = 1.0) -> RunResult:
+                  cadence: float) -> RunResult:
     """Run a single pipe to ``t_end``, recording boundary fields on the
     cadence and keeping the exact mass ledger."""
     gas = eos.at(grid.cell_centers)
-    pipe_ops.check_cfl(state, grid, gas, dt, cfl_safety, pipe_id)
-    store = TimeSeriesStore()
-    ledger = MassLedger()
-    mass0 = pipe_ops.total_mass(state, geom, grid)
-    cumulative = 0.0
-    n_steps = int(round((t_end - state.time) / dt))
 
-    def sample():
-        t = state.time
+    def advance():
+        pipe_ops.step(state, geom, grid, gas, bc_left, bc_right, dt, "main")
+
+    def sample(store, t, _):
         v = face_velocity(state)
-        p_l = gas[0].pressure(state.rho[0])
-        p_r = gas[-1].pressure(state.rho[-1])
-        for name, val in (("p_left", p_l), ("p_right", p_r),
+        for name, val in (("p_left", gas[0].pressure(state.rho[0])),
+                          ("p_right", gas[-1].pressure(state.rho[-1])),
                           ("rho_left", state.rho[0]),
                           ("rho_right", state.rho[-1]),
                           ("phi_left", state.phi[0]),
                           ("phi_right", state.phi[-1]),
                           ("v_left", v[0]), ("v_right", v[-1])):
-            store.add(t, "pipe", pipe_id, name, val)
-        ledger.sample(t, pipe_ops.total_mass(state, geom, grid),
-                      cumulative, mass0, store)
+            store.add(t, "pipe", "main", name, val)
 
-    sample()
-    next_sample = state.time + cadence
-    prev_mass = mass0
-    for _ in range(n_steps):
-        pipe_ops.step(state, geom, grid, gas, bc_left, bc_right, dt, pipe_id)
-        inflow = dt * pipe_ops.boundary_throughput(state, geom)
-        cumulative += inflow
-        mass = pipe_ops.total_mass(state, geom, grid)
-        if abs(mass - prev_mass - inflow) > 1e-12 * max(mass, 1.0):
-            raise SimulationError(
-                f"mass ledger identity broken at step {state.step_index}")
-        prev_mass = mass
-        if state.time >= next_sample - 1e-9 * dt:
-            sample()
-            next_sample += cadence
-    summary = {"steps": n_steps,
-               "max_ledger_discrepancy_kg": ledger.max_abs_discrepancy()}
-    return RunResult(store=store, summary=summary, ledger=ledger)
+    return _march(lambda: state.time, advance,
+                  lambda: pipe_ops.total_mass(state, geom, grid),
+                  lambda: pipe_ops.boundary_throughput(state, geom), sample,
+                  dt, pipe_ops.cfl_max_dt(state, grid, gas), t_end, cadence,
+                  "main")
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +247,15 @@ def _wave_profiles(rho_mean, wave_speed, length):
     return rho_wave, phi_wave
 
 
-def _ladder_advance(rho, phi, dt, dx, k, gas, phi_wave, length):
-    """Half-shifted leapfrog iteration for states given as
-    (rho at t, phi at t + dt/2): density update first, then fluxes."""
-    rho -= (dt / dx) * np.diff(phi)
-    p = gas.pressure(rho)
-    phi[1:-1] -= (dt / dx) * (p[1:] - p[:-1])
+def _ladder_advance(state, geom, grid, gas, dt, k, phi_wave):
+    """Half-shifted leapfrog iteration of the pipe kernels for a state given
+    as (rho at t, phi at t + dt/2): density update first, then the interior
+    fluxes, then the exact boundary fluxes of step ``k``."""
+    pipe_ops.density_update(state, grid, dt)
+    pipe_ops.interior_flux_update(state, geom, grid, gas, dt)
     t_half = (2 * k + 3) * 0.5 * dt
-    phi[0] = phi_wave(0.0, t_half)
-    phi[-1] = phi_wave(length, t_half)
+    state.phi[0] = phi_wave(0.0, t_half)
+    state.phi[-1] = phi_wave(grid.length, t_half)
 
 
 def run_convergence_study(n_levels: int = 6, ref_level: int = 6,
@@ -237,13 +270,13 @@ def run_convergence_study(n_levels: int = 6, ref_level: int = 6,
     space/time ratio is fixed (454.55 m/s for the defaults) and every
     coarse grid nests in the ``ref_level`` reference.  Initial flux data
     live half a step after the initial densities; coarse flux initial
-    conditions are restricted from the reference solution.
+    conditions are restricted from the reference solution.  Every level
+    steps a friction-free pipe through the production kernels.
     """
     eos = eos or IdealGas(WAVE_SPEED_REF)
     rho_wave, phi_wave = _wave_profiles(rho_mean, wave_speed, length)
-    n_ref = base_cells * 3 ** ref_level
+    geom = PipeGeometry(length=length, diameter=1.0, friction=0.0)
     dt_ref = 3.0 ** -ref_level
-    dx_ref = length / n_ref
     steps_common = round(t_common / dt_ref)
 
     keep_rho, keep_phi = set(), set()
@@ -255,40 +288,38 @@ def run_convergence_study(n_levels: int = 6, ref_level: int = 6,
         keep_rho.add(steps_common)                        # transport density
         keep_phi.add(steps_common + (3 ** m - 1) // 2)    # transport flux
 
-    xc_ref = (np.arange(n_ref) + 0.5) * dx_ref
-    xf_ref = np.arange(n_ref + 1) * dx_ref
-    gas_ref = eos.at(xc_ref)
-    rho = rho_wave(xc_ref, 0.0)
-    phi = phi_wave(xf_ref, 0.5 * dt_ref)
-    snap_rho, snap_phi = {0: rho.copy()}, {0: phi.copy()}
-    speed_max = math.sqrt(np.max(gas_ref.wave_speed_sq(rho)))
-    if speed_max * dt_ref > dx_ref:
-        raise CflViolationError(dt_ref, dx_ref / speed_max, "convergence ref")
+    grid_ref = PipeGrid(length=length, n_cells=base_cells * 3 ** ref_level)
+    gas_ref = eos.at(grid_ref.cell_centers)
+    ref = PipeState(rho_wave(grid_ref.cell_centers, 0.0),
+                    phi_wave(grid_ref.faces, 0.5 * dt_ref))
+    snap_rho, snap_phi = {0: ref.rho.copy()}, {0: ref.phi.copy()}
+    dt_max = pipe_ops.cfl_max_dt(ref, grid_ref, gas_ref)
+    if dt_ref > dt_max:
+        raise CflViolationError(dt_ref, dt_max, "convergence ref")
     for k in range(max(keep_rho | keep_phi)):
-        _ladder_advance(rho, phi, dt_ref, dx_ref, k, gas_ref, phi_wave, length)
+        _ladder_advance(ref, geom, grid_ref, gas_ref, dt_ref, k, phi_wave)
         if k + 1 in keep_rho:
-            snap_rho[k + 1] = rho.copy()
+            snap_rho[k + 1] = ref.rho.copy()
         if k + 1 in keep_phi:
-            snap_phi[k + 1] = phi.copy()
+            snap_phi[k + 1] = ref.phi.copy()
 
     dts = [3.0 ** -lvl for lvl in range(n_levels)]
     errors = {proto: {v: [] for v in ("rho", "p", "phi")}
               for proto in ("transport", "one_step")}
     for lvl in range(n_levels):
         m = ref_level - lvl
-        n_c = base_cells * 3 ** lvl
-        dt_c, dx_c = dts[lvl], length / n_c
-        xc = (np.arange(n_c) + 0.5) * dx_c
-        gas = eos.at(xc)
-        centers = 3 ** m * np.arange(n_c) + (3 ** m - 1) // 2
+        grid = PipeGrid(length=length, n_cells=base_cells * 3 ** lvl)
+        dt_c, dx_c = dts[lvl], grid.dx
+        gas = eos.at(grid.cell_centers)
+        centers = 3 ** m * np.arange(grid.n_cells) + (3 ** m - 1) // 2
         stride = 3 ** m
         for proto in ("transport", "one_step"):
-            rho_c = rho_wave(xc, 0.0)
-            phi_c = snap_phi[(3 ** m - 1) // 2][::stride].copy()
+            state = PipeState(rho_wave(grid.cell_centers, 0.0),
+                              snap_phi[(3 ** m - 1) // 2][::stride].copy())
             n_steps = round(t_common / dt_c) if proto == "transport" else 1
             for k in range(n_steps):
-                _ladder_advance(rho_c, phi_c, dt_c, dx_c, k, gas, phi_wave,
-                                length)
+                _ladder_advance(state, geom, grid, gas, dt_c, k, phi_wave)
+            rho_c, phi_c = state.rho, state.phi
             if proto == "transport":
                 k_rho = steps_common
                 k_phi = steps_common + (3 ** m - 1) // 2
@@ -334,12 +365,10 @@ def run_traveling_wave(n_cells: int, n_steps: int, travel: float = 1000.0,
     state = PipeState(rho_wave(xc, 0.0), phi_wave(xf, -0.5 * dt))
     bc_l = FluxBC(lambda t: phi_wave(0.0, t))
     bc_r = FluxBC(lambda t: phi_wave(length, t))
-    pipe_ops.check_cfl(state, grid, eos, dt, 1.0, "traveling wave")
-    for _ in range(n_steps):
-        pipe_ops.step(state, geom, grid, eos, bc_l, bc_r, dt)
-    t_end = state.time
-    err = l2_norm(state.rho, rho_wave(xc, t_end), grid.dx)
-    return {"dt": dt, "dx": grid.dx, "t_end": t_end, "error": err,
+    simulate_pipe(geom, grid, eos, state, bc_l, bc_r, dt, n_steps * dt,
+                  n_steps * dt)
+    err = l2_norm(state.rho, rho_wave(xc, state.time), grid.dx)
+    return {"dt": dt, "dx": grid.dx, "t_end": state.time, "error": err,
             "state": state}
 
 
@@ -484,16 +513,10 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
     """Run a network to ``t_end``, recording node/pipe series and the mass
     ledger on the cadence.  The step must satisfy the stability bound."""
     net.require_states()
-    check_network_cfl(net, dt, safety=1.0)
-    store = TimeSeriesStore()
-    ledger = MassLedger()
-    mass0 = net.total_mass()
-    cumulative = 0.0
-    t0 = net.time
-    n_steps = int(round((t_end - t0) / dt))
 
-    def sample(records):
-        t = net.time
+    def sample(store, t, records):
+        if records is None:
+            records = {node.id: node_record(net, node) for node in net.nodes}
         for node_id, (p, netflow) in records.items():
             store.add(t, "node", node_id, "pressure", p)
             store.add(t, "node", node_id, "net_flow", netflow)
@@ -508,38 +531,12 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
                       e.geometry.area * float(e.state.phi[-1]))
             store.add(t, "pipe", e.id, "mass",
                       pipe_ops.total_mass(e.state, e.geometry, e.grid))
-        ledger.sample(t, net.total_mass(), cumulative, mass0, store)
 
-    written = 0
-
-    def flush():
-        nonlocal written
-        if writer is not None:
-            writer.write_rows(store.rows[written:])
-            written = len(store.rows)
-
-    sample({node.id: node_record(net, node) for node in net.nodes})
-    flush()
-    next_sample = t0 + cadence
-    prev_mass = mass0
-    for _ in range(n_steps):
-        records = network_step(net, dt)
-        inflow = dt * net.boundary_inflow()
-        cumulative += inflow
-        mass = net.total_mass()
-        if abs(mass - prev_mass - inflow) > 1e-12 * max(mass, 1.0):
-            raise SimulationError(
-                f"mass ledger identity broken at step {net.step_index}")
-        prev_mass = mass
-        if net.time >= next_sample - 1e-9 * dt:
-            sample(records)
-            flush()
-            next_sample += cadence
-    summary = {"steps": n_steps, "t_end": net.time,
-               "max_ledger_discrepancy_kg": ledger.max_abs_discrepancy(),
-               "total_mass_kg": net.total_mass()}
-    flush()
-    return RunResult(store=store, summary=summary, ledger=ledger)
+    result = _march(lambda: net.time, lambda: network_step(net, dt),
+                    net.total_mass, net.boundary_inflow, sample, dt,
+                    net.cfl_max_dt(), t_end, cadence, "network", writer)
+    result.summary.update(t_end=net.time, total_mass_kg=net.total_mass())
+    return result
 
 
 def run_five_node_network(eos_kind: str = "cnga", dx_target: float = 62.5,

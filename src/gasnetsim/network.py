@@ -21,8 +21,7 @@ import numpy as np
 
 from . import pipe as pipe_ops
 from .eos import CngaGas
-from .errors import (CflViolationError, ConfigError, InfeasibleNodeError,
-                     SimulationError)
+from .errors import ConfigError, InfeasibleNodeError, SimulationError
 from .pipe import LEFT, RIGHT, PipeGeometry, PipeGrid, PipeState
 from .profiles import Constant, TimeProfile
 
@@ -301,13 +300,6 @@ def node_record(net: Network, node: Node, pressure=None) -> tuple:
     netflow = sum(end.sgn * end.area * float(end.edge.state.phi[end.face])
                   for end in ends)
     return pressure, netflow
-
-
-def check_network_cfl(net: Network, dt: float, safety: float = 1.0) -> None:
-    net.require_states()
-    dt_max = net.cfl_max_dt(safety)
-    if dt > dt_max:
-        raise CflViolationError(dt, dt_max, "network")
 
 
 def cell_count_violation(pipe: str, length: float, dx: float) -> str | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolationError, PositivityError, UnstableRunError
+from .errors import PositivityError, UnstableRunError
 
 LEFT = "left"
 RIGHT = "right"
@@ -85,12 +85,8 @@ class PipeState:
         self.phi = np.asarray(self.phi, dtype=float)
         if self.phi.shape != (self.rho.size + 1,):
             raise ValueError("phi must have one more entry than rho")
-        if np.any(self.rho <= 0):
+        if not (self.rho > 0).all():
             raise ValueError("initial density must be positive everywhere")
-
-    def copy(self) -> "PipeState":
-        return PipeState(self.rho.copy(), self.phi.copy(), self.time,
-                         self.step_index)
 
 
 def uniform_state(grid: PipeGrid, rho: float, phi: float = 0.0) -> PipeState:
@@ -232,10 +228,3 @@ def face_velocity(state: PipeState) -> np.ndarray:
     rho_face[0] = state.rho[0]
     rho_face[-1] = state.rho[-1]
     return state.phi / rho_face
-
-
-def check_cfl(state: PipeState, grid: PipeGrid, gas, dt: float,
-              safety: float = 1.0, where: str = "") -> None:
-    dt_max = cfl_max_dt(state, grid, gas, safety)
-    if dt > dt_max:
-        raise CflViolationError(dt, dt_max, where)

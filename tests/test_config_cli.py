@@ -300,6 +300,13 @@ class TestStudyFlags:
         assert err.count("error: validation: pipe") == 2
         assert "Traceback" not in err
 
+    def test_non_finite_step_count_rejected(self, tmp_path, capsys):
+        assert main(["fast-transient", "--t-end", "1e300", "--dt", "1e-10",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: validation: (t_end - t0)/dt" in err
+        assert "Traceback" not in err
+
     def test_study_params_hash_is_stable(self, tmp_path):
         out = tmp_path / "five"
         assert main(["five-node", "--dx", "4000", "--t-end", "60",
@@ -309,3 +316,14 @@ class TestStudyFlags:
         assert summary["config_sha"] == config_sha(
             {"experiment": "five-node", "eos": "cnga", "dx_target": 4000.0,
              "t_end": 60.0, "dt": 0.125})
+
+
+def test_non_finite_step_count_in_config_rejected(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["simulation"].update(t_end=1e300, dt=1e-10)
+    config = tmp_path / "endless.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: validation: (t_end - t0)/dt" in err
+    assert "Traceback" not in err

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from gasnetsim import experiments, pipe as pipe_ops
+from gasnetsim.errors import SimulationError
 from gasnetsim.experiments import (MassLedger, l2_error, l2_norm,
                                    run_convergence_study,
                                    run_fast_transient,
@@ -12,6 +14,7 @@ from gasnetsim.experiments import (MassLedger, l2_error, l2_norm,
                                    run_traveling_wave, simulate_network,
                                    five_node_network)
 from gasnetsim.eos import CngaGas
+from gasnetsim.network import Network
 from gasnetsim.steady import solve_steady_state
 
 
@@ -227,3 +230,57 @@ def test_mass_ledger_discrepancy_definition():
     led.sample(2.0, 104.0, 3.0, 100.0)
     assert led.discrepancy == [0.0, 0.0, 1.0]
     assert led.max_abs_discrepancy() == 1.0
+
+
+def _short_pipe_run(**kwargs):
+    return run_temperature_effect(1e-3, dx=5000.0, t_end=600.0, **kwargs)
+
+
+def _short_network_run():
+    return run_five_node_network(eos_kind="cnga", dx_target=4000.0, dt=None,
+                                 t_end=120.0, cadence=60.0)
+
+
+def _counted(monkeypatch, owner, attr, shift=None):
+    """Shadow ``owner.attr`` with a shim that counts its calls and, given
+    ``shift``, adds it to every result."""
+    calls = []
+    fn = getattr(owner, attr)
+
+    def shim(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return out if shift is None else out + shift
+    monkeypatch.setattr(owner, attr, shim)
+    return calls
+
+
+@pytest.mark.parametrize("owner, attr, run", [
+    (pipe_ops, "boundary_throughput", _short_pipe_run),
+    (Network, "boundary_inflow", _short_network_run),
+], ids=["pipe", "network"])
+def test_per_step_ledger_identity_fires(monkeypatch, owner, attr, run):
+    # a misreported inflow of 1 kg/s breaks the identity on the first step
+    _counted(monkeypatch, owner, attr, shift=1.0)
+    with pytest.raises(SimulationError,
+                       match="mass ledger identity broken at step 1 "):
+        run()
+
+
+def test_step_clock_sees_every_pipe_step(monkeypatch):
+    # the benchmark clocks single-pipe steps by shadowing pipe.step
+    calls = _counted(monkeypatch, pipe_ops, "step")
+    res = _short_pipe_run(dt=10.0, cadence=20.0)
+    assert res.summary["steps"] == 60
+    assert len(calls) == 60
+    t, _ = res.store.series("pipe", "main", "p_left")
+    assert t.size == 31
+
+
+def test_step_clock_sees_every_network_step(monkeypatch):
+    # the benchmark clocks network steps by shadowing the runner's
+    # network_step name
+    calls = _counted(monkeypatch, experiments, "network_step")
+    res = _short_network_run()
+    assert res.summary["steps"] > 0
+    assert len(calls) == res.summary["steps"]

@@ -283,3 +283,9 @@ def test_grid_and_geometry_validation():
     geom = PipeGeometry(length=100.0, diameter=0.9144, friction=0.01)
     assert geom.beta == pytest.approx(0.01 / (2 * 0.9144))
     assert geom.area == pytest.approx(np.pi * 0.9144 ** 2 / 4)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_initial_density_must_be_positive(bad):
+    with pytest.raises(ValueError, match="positive"):
+        PipeState(np.array([bad, 1.0]), np.zeros(3))
