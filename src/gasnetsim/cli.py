@@ -140,11 +140,7 @@ def _cmd_steady(args):
               f"outlet {p_out:.6g} Pa")
     if args.out != Path("out"):
         args.out.mkdir(parents=True, exist_ok=True)
-        write_summary({"node_pressures": steady.node_pressures,
-                       "pipe_flows": steady.pipe_flows,
-                       "pipe_end_pressures": {k: list(v) for k, v in
-                                              steady.pipe_end_pressures.items()},
-                       "config_sha": config_sha(cfg)},
+        write_summary({**steady.to_dict(), "config_sha": config_sha(cfg)},
                       args.out / "steady_summary.json")
     return 0
 

@@ -134,10 +134,21 @@ def _expect_keys(section, obj, required, optional, problems, strict):
 
 
 def _check_profile(section, cfg, problems, strict):
+    """The profile built from ``cfg``, or None once its fault is listed."""
     try:
-        profile_from_config(cfg, strict=strict)
+        return profile_from_config(cfg, strict=strict)
     except (ValueError, TypeError) as exc:
         problems.append(f"{section}: bad profile ({exc})")
+        return None
+
+
+def _check_positive_profile(section, cfg, problems, strict):
+    """As ``_check_profile``, for a profile that must stay above zero (a
+    slack pressure or a boost ratio)."""
+    profile = _check_profile(section, cfg, problems, strict)
+    if profile is not None and profile.minimum() <= 0:
+        problems.append(f"{section}: profile must stay positive, but can "
+                        f"reach {profile.minimum():g}")
 
 
 def _objects(doc, key, problems) -> list:
@@ -202,7 +213,9 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
         if kind not in ("slack", "demand"):
             problems.append(f"{label}: kind must be 'slack' or 'demand'")
         elif value_key in nd:
-            _check_profile(label, nd[value_key], problems, strict)
+            check = _check_positive_profile if kind == "slack" \
+                else _check_profile
+            check(label, nd[value_key], problems, strict)
 
     pipes = _objects(doc, "pipes", problems)
     for label, pd in pipes:
@@ -234,7 +247,7 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
         else:
             seen_comp.add(key)
         if "ratio" in cd:
-            _check_profile(label, cd["ratio"], problems, strict)
+            _check_positive_profile(label, cd["ratio"], problems, strict)
 
     sd = doc.get("simulation")
     if "simulation" in doc and not isinstance(sd, dict):

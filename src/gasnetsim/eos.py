@@ -218,9 +218,22 @@ class NonIsothermalCnga:
     gravity: float = DEFAULT_GRAVITY
     constants: GasConstants | None = None
 
+    def __post_init__(self):
+        # bound once: ``at`` runs on every right-hand side of a steady ODE
+        object.__setattr__(self, "_fit", replace(
+            self.constants or GasConstants(), gravity=self.gravity))
+        object.__setattr__(self, "_r_gas",
+                           gas_constant_from_gravity(self.gravity))
+
     def at(self, x) -> CngaGas:
-        return CngaGas.from_temperature(self.profile.temperature(x),
-                                        self.gravity, self.constants)
+        """The gas with ``from_temperature``'s fit at ``T(x)``."""
+        temperature = self.profile.temperature(x)
+        # the fit of a temperature that cnga_coefficients accepts is a valid
+        # gas, so skip CngaGas.__init__'s checks as __getitem__ does
+        gas = object.__new__(CngaGas)
+        gas.b1, gas.b2 = cnga_coefficients(temperature, self._fit)
+        gas.rt = self._r_gas * temperature
+        return gas
 
 
 def make_eos(kind: str, **params):

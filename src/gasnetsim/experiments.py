@@ -561,11 +561,7 @@ def run_five_node_network(eos_kind: str = "cnga", dx_target: float = 62.5,
     if dt is None:
         dt = net.cfl_max_dt(cfl_safety)
     result = simulate_network(net, dt, t_end, cadence, writer=writer)
-    result.summary.update({
-        "eos": eos_kind, "dt": dt, "dx_target": dx_target,
-        "steady_node_pressures": dict(steady.node_pressures),
-        "steady_pipe_flows": dict(steady.pipe_flows),
-        "steady_pipe_end_pressures": {k: list(v) for k, v
-                                      in steady.pipe_end_pressures.items()},
-    })
+    result.summary.update(eos=eos_kind, dt=dt, dx_target=dx_target)
+    result.summary.update((f"steady_{k}", v)
+                          for k, v in steady.to_dict().items())
     return result

@@ -10,23 +10,26 @@ CSV_HEADER = ("t", "entity", "id", "field", "value")
 
 class SeriesWriter:
     """Incremental CSV writer; flushes after every batch so partial output
-    survives interruption."""
+    survives interruption.  The file is created by the first batch, so a
+    run refused before its first sample leaves none behind."""
 
     def __init__(self, path):
         self.path = path
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(CSV_HEADER)
-        self._fh.flush()
+        self._fh = None
 
     def write_rows(self, rows):
+        if self._fh is None:
+            self._fh = open(self.path, "w", newline="")
+            self._writer = csv.writer(self._fh)
+            self._writer.writerow(CSV_HEADER)
         for t, entity, entity_id, fieldname, value in rows:
             self._writer.writerow((repr(float(t)), entity, entity_id,
                                    fieldname, repr(float(value))))
         self._fh.flush()
 
     def close(self):
-        self._fh.close()
+        if self._fh is not None:
+            self._fh.close()
 
     def __enter__(self):
         return self

@@ -50,6 +50,10 @@ class TimeProfile:
     def _value(self, t: float) -> float:
         raise NotImplementedError
 
+    def minimum(self) -> float:
+        """The lowest value the profile can take."""
+        raise NotImplementedError
+
     def to_config(self) -> dict:
         cfg = {"type": self.kind}
         if self.period is not None:
@@ -82,6 +86,9 @@ class Constant(TimeProfile):
     def _value(self, t):
         return self.value
 
+    def minimum(self):
+        return self.value
+
     def _config_fields(self):
         return {"value": self.value}
 
@@ -110,6 +117,10 @@ class Harmonic(TimeProfile):
         if self.relative:
             return self.offset * (1.0 + self.amplitude * s)
         return self.offset + self.amplitude * s
+
+    def minimum(self):
+        swing = self.amplitude * (self.offset if self.relative else 1.0)
+        return self.offset - abs(swing)
 
     def _config_fields(self):
         return {"offset": self.offset, "amplitude": self.amplitude,
@@ -150,6 +161,9 @@ class PiecewiseLinear(TimeProfile):
         v0, v1 = values[i - 1], values[i]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
+    def minimum(self):
+        return min(self._values)
+
     def _config_fields(self):
         return {"knots": [[t, v] for t, v in self.knots]}
 
@@ -180,6 +194,9 @@ class StepSequence(TimeProfile):
     def _value(self, t):
         i = bisect.bisect_right(self._ends, t)
         return self._values[min(i, len(self._values) - 1)]
+
+    def minimum(self):
+        return min(self._values)
 
     def _config_fields(self):
         return {"intervals": [[te, v] for te, v in self.intervals]}

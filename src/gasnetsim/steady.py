@@ -1,12 +1,14 @@
 """Steady-state network initializer.
 
 In steady state each pipe carries a constant mass flow and its pressure
-profile obeys ``dp/dx = -beta phi|phi| / rho(p, x)``.  The solver treats
-the non-slack nodal pressures and the per-pipe flows as unknowns, closes
-them with the nodal mass balances and the per-pipe pressure-drop relations
-(including compressor boosts at pipe ends), and drives the system to zero
-with a damped Newton iteration around an adaptive ODE integration of each
-pipe profile.
+profile obeys ``dp/dx = -beta phi|phi| / rho(p, x)``.  The unknowns are the
+non-slack nodal pressures, then the pipe flows.  The Newton rows read the
+network's incidence: each non-slack node's mass balance sums ``sgn * flow``
+over its pipe ends, in incidence order, less its withdrawal; each pipe's row
+is the outlet pressure that its profile reaches from the boosted from-node
+pressure, less the boosted to-node pressure.  A damped Newton iteration
+with a finite-difference Jacobian drives the rows to zero around an
+adaptive ODE integration of each pipe profile.
 """
 
 from __future__ import annotations
@@ -89,42 +91,53 @@ class SteadySolution:
         net.time = t0
         net.step_index = 0
 
+    def to_dict(self) -> dict:
+        """Node pressures, pipe flows and end pressures as JSON-ready dicts."""
+        return {"node_pressures": dict(self.node_pressures),
+                "pipe_flows": dict(self.pipe_flows),
+                "pipe_end_pressures": {k: list(v) for k, v in
+                                       self.pipe_end_pressures.items()}}
+
 
 def solve_steady_state(net: Network, t0: float = 0.0) -> SteadySolution:
     """Solve nodal pressures and pipe flows for schedules frozen at ``t0``."""
-    slack = [n for n in net.nodes if n.is_slack]
     free_nodes = [n for n in net.nodes if not n.is_slack]
     n_p, n_m = len(free_nodes), len(net.edges)
     node_pos = {n.id: i for i, n in enumerate(free_nodes)}
-    slack_p = {n.id: n.bc.pressure(t0) for n in slack}
-    demands = {n.id: (0.0 if n.is_slack else n.bc.withdrawal(t0))
-               for n in net.nodes}
-    alpha_in = {e.id: (e.inlet_ratio(t0) if e.inlet_ratio else 1.0)
-                for e in net.edges}
-    alpha_out = {e.id: (e.outlet_ratio(t0) if e.outlet_ratio else 1.0)
-                 for e in net.edges}
+    slack_p = {n.id: n.bc.pressure(t0) for n in net.nodes if n.is_slack}
     p_scale = max(slack_p.values())
+    edge_pos = {e.id: j for j, e in enumerate(net.edges)}
+    balances = [[(end.sgn, edge_pos[end.edge.id])
+                 for end in net.incidence[n.id]] for n in free_nodes]
+    withdrawals = np.array([n.bc.withdrawal(t0) for n in free_nodes])
+    # pipe id, end sign -> (node id, boost ratio at t0) of that pipe end
+    boosts = {(end.edge.id, end.sgn): (node_id, end.ratio(t0))
+              for node_id, ends in net.incidence.items() for end in ends}
 
     def node_pressure(z, node_id):
         return slack_p[node_id] if node_id in slack_p \
             else z[node_pos[node_id]]
 
+    def pipe_pressures(z, j, dense=False):
+        """Pipe ``j``'s boosted inlet, outlet and boosted to-node pressures,
+        and its profile when ``dense``."""
+        e = net.edges[j]
+        (frm, a_in), (to, a_out) = boosts[e.id, -1], boosts[e.id, +1]
+        p_in = a_in * node_pressure(z, frm)
+        p_out, profile = integrate_pipe_pressure(net.eos, e.geometry, p_in,
+                                                 z[n_p + j], dense)
+        return p_in, p_out, a_out * node_pressure(z, to), profile
+
     def residual(z):
         res = np.empty(n_p + n_m)
-        flows = z[n_p:]
-        for i, n in enumerate(free_nodes):
-            bal = -demands[n.id]
-            for j, e in enumerate(net.edges):
-                if e.to_node == n.id:
-                    bal += flows[j]
-                if e.from_node == n.id:
-                    bal -= flows[j]
+        for i, ends in enumerate(balances):
+            bal = -withdrawals[i]
+            for sgn, j in ends:
+                bal += sgn * z[n_p + j]
             res[i] = bal
-        for j, e in enumerate(net.edges):
-            p_in = alpha_in[e.id] * node_pressure(z, e.from_node)
-            p_out, _ = integrate_pipe_pressure(net.eos, e.geometry, p_in,
-                                               flows[j])
-            res[n_p + j] = p_out - alpha_out[e.id] * node_pressure(z, e.to_node)
+        for j in range(n_m):
+            _, p_out, p_down, _ = pipe_pressures(z, j)
+            res[n_p + j] = p_out - p_down
         return res
 
     def scaled_norm(res):
@@ -140,15 +153,11 @@ def solve_steady_state(net: Network, t0: float = 0.0) -> SteadySolution:
     z = np.empty(n_p + n_m)
     z[:n_p] = p_scale
     incid = np.zeros((n_p, n_m))
-    for i, n in enumerate(free_nodes):
-        for j, e in enumerate(net.edges):
-            if e.to_node == n.id:
-                incid[i, j] += 1.0
-            if e.from_node == n.id:
-                incid[i, j] -= 1.0
-    rhs0 = np.array([demands[n.id] for n in free_nodes])
+    for i, ends in enumerate(balances):
+        for sgn, j in ends:
+            incid[i, j] = sgn
     if n_m and n_p:
-        z[n_p:] = np.linalg.lstsq(incid, rhs0, rcond=None)[0]
+        z[n_p:] = np.linalg.lstsq(incid, withdrawals, rcond=None)[0]
     else:
         z[n_p:] = 0.0
 
@@ -190,10 +199,8 @@ def solve_steady_state(net: Network, t0: float = 0.0) -> SteadySolution:
         raise SteadyStateError("steady state has non-positive nodal pressure")
     flows = {e.id: float(z[n_p + j]) for j, e in enumerate(net.edges)}
     profiles, ends = {}, {}
-    for e in net.edges:
-        p_in = alpha_in[e.id] * node_pressures[e.from_node]
-        p_out, prof = integrate_pipe_pressure(net.eos, e.geometry, p_in,
-                                              flows[e.id], dense=True)
+    for j, e in enumerate(net.edges):
+        p_in, p_out, _, prof = pipe_pressures(z, j, dense=True)
         if prof is None or p_out <= PRESSURE_FLOOR:
             raise SteadyStateError(f"pipe {e.id} drains below the pressure "
                                    f"floor in steady state")

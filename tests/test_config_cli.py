@@ -192,8 +192,8 @@ class TestCli:
         assert summary["eos"] == "ideal"
 
 
-def _mutated(path, value):
-    doc = minimal_doc()
+def _mutated(path, value, doc=None):
+    doc = minimal_doc() if doc is None else doc
     *parents, key = path
     target = doc
     for name in parents:
@@ -229,8 +229,24 @@ VALIDATION_ESCAPES = {
     "temperature_below_zero": (("eos",), {
         "kind": "cnga_nonisothermal", "t_ambient": 10.0, "t_jump": -20.0,
         "decay_rate": 1e-3, "gas_gravity": 0.65}),
+    "gravity_negative": (("eos",), {
+        "kind": "cnga_nonisothermal", "t_ambient": 288.0, "t_jump": 40.0,
+        "decay_rate": 1e-3, "gas_gravity": -0.65}),
     "length_1e12": (("pipes", 0, "length"), 1e12),
     "length_1e308": (("pipes", 0, "length"), 1e308),
+    "slack_pressure_negative": (("nodes", 0, "pressure"), -3e6),
+    "slack_pressure_knot_negative": (("nodes", 0, "pressure"), {
+        "type": "piecewise_linear", "knots": [[0, 3.4e6], [30, -1e6]]}),
+    "slack_pressure_harmonic_dips": (("nodes", 0, "pressure"), {
+        "type": "harmonic", "offset": 3e6, "amplitude": 3e6, "omega": 1e-4}),
+    "slack_pressure_step_zero": (("nodes", 0, "pressure"), {
+        "type": "step_sequence", "intervals": [[60, 6.5e6], [1e9, 0.0]]}),
+    "ratio_zero": (("compressors",), [
+        {"pipe": "p", "side": "inlet", "ratio": 0}]),
+    "ratio_relative_harmonic_dips": (("compressors",), [
+        {"pipe": "p", "side": "outlet", "ratio": {
+            "type": "harmonic", "offset": 1.2, "amplitude": 1.5,
+            "omega": 1e-4, "relative": True}}]),
 }
 
 
@@ -244,6 +260,34 @@ def test_validation_escapes_are_listed(path, value, tmp_path, capsys):
     config.write_text(json.dumps(doc))
     assert main(["validate", str(config)]) == 1
     assert "error: validation: " in capsys.readouterr().err
+
+
+def test_negative_withdrawal_is_an_injection():
+    doc = minimal_doc()
+    doc["nodes"][1]["withdrawal"] = {"type": "harmonic", "offset": -50.0,
+                                     "amplitude": 100.0, "omega": 1e-4}
+    parse_config(doc)
+
+
+# steady failures on the bundled config that must exit 2 with their message
+STEADY_FAILURES = {
+    "non-positive nodal pressure": (("compressors", 0, "ratio"), 1.2),
+    "singular Jacobian": (("pipes", 0, "friction"), 1e300),
+    "stalled": (("nodes", 4, "withdrawal"), 400),
+}
+
+
+@pytest.mark.parametrize("message, path, value",
+                         [(m, *case) for m, case in STEADY_FAILURES.items()],
+                         ids=list(STEADY_FAILURES))
+def test_steady_failures_exit_2(message, path, value, five_node_path,
+                                capsys):
+    doc = _mutated(path, value, json.loads(five_node_path.read_text()))
+    five_node_path.write_text(json.dumps(doc))
+    assert main(["steady", str(five_node_path), "--dx", "4000"]) == 2
+    err = capsys.readouterr().err
+    assert "error: steady_state_failure: " in err and message in err
+    assert "Traceback" not in err
 
 
 def test_disconnected_graph_fails_validate_and_steady(tmp_path, capsys):
@@ -323,7 +367,20 @@ def test_non_finite_step_count_in_config_rejected(tmp_path, capsys):
     doc["simulation"].update(t_end=1e300, dt=1e-10)
     config = tmp_path / "endless.json"
     config.write_text(json.dumps(doc))
-    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: validation: (t_end - t0)/dt" in err
     assert "Traceback" not in err
+    assert not (out / "run.csv").exists()
+
+
+def test_unstable_step_in_config_leaves_no_csv(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["simulation"]["dt"] = 1e300
+    config = tmp_path / "unstable.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    assert "error: cfl_violation: " in capsys.readouterr().err
+    assert not (out / "run.csv").exists()

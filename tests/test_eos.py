@@ -103,6 +103,8 @@ def test_nonisothermal_binding_matches_pointwise(decay_rate):
             (point.b1, point.b2, point.rt)
         assert (gas.b1[i], gas.b2[i], gas.rt[i]) == \
             (point.b1, point.b2, point.rt)
+        fit = CngaGas.from_temperature(model.profile.temperature(float(x)))
+        assert (fit.b1, fit.b2, fit.rt) == (point.b1, point.b2, point.rt)
 
 
 def test_ideal_gas_is_the_b2_zero_cnga_exactly():

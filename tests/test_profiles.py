@@ -166,3 +166,12 @@ def test_profiles_as_set_members_and_dict_keys():
     assert Constant(1.0) not in {Constant(1.0, period=7.0)}
     table = {p: i for i, p in enumerate(distinct)}
     assert [table[p] for p in again] == list(range(len(again)))
+
+
+@pytest.mark.parametrize("profile", _each_kind(None) + [
+    Harmonic(offset=3.0, amplitude=4.0, omega=0.5),
+    Harmonic(offset=-1.0, amplitude=2.0, omega=0.5, relative=True)])
+def test_minimum_is_the_lowest_value(profile):
+    values = [profile(t) for t in np.linspace(0.0, 20.0, 4001)]
+    assert profile.minimum() == pytest.approx(min(values), abs=1e-4)
+    assert profile.minimum() <= min(values)
