@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
-failure (stability, positivity, infeasible node, steady solve).  Failures
-print one machine-parsable line ``error: <reason>: <detail>`` on stderr.
+Exit codes: 0 success, 1 configuration/validation failure or an output
+path that cannot be written, 2 numerical failure (stability, positivity,
+infeasible node, steady solve) or any other internal error.  Failures
+print one machine-parsable line ``error: <reason>: <detail>`` on stderr,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -242,6 +244,13 @@ def main(argv=None) -> int:
         return 1
     except SimulationError as exc:
         print(f"error: {exc.reason}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"error: internal_error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -302,6 +302,9 @@ def load_config(path, strict: bool = False) -> NetworkConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError([f"parse error at line {exc.lineno}, column "
                            f"{exc.colno}: {exc.msg}"]) from exc
+    except OSError as exc:
+        raise ConfigError([f"cannot read config {path}: {exc.strerror}"]) \
+            from exc
     return parse_config(doc, strict=strict)
 
 

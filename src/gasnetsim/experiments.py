@@ -19,7 +19,7 @@ from . import pipe as pipe_ops
 from .config import build_network, load_config
 from .eos import CngaGas, IdealGas, NonIsothermalCnga, TemperatureProfile
 from .errors import CflViolationError, ConfigError, SimulationError
-from .network import Network, grid_for_length, network_step, node_record
+from .network import Network, grid_for_length, network_step, node_records
 from .pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState, PressureBC,
                    face_velocity, uniform_state)
 from .profiles import Constant, Harmonic, StepSequence
@@ -136,7 +136,8 @@ def _march(now, advance, total_mass, inflow_rate, sample, dt, dt_max,
     records; the first sample, taken before any step, gets ``out=None``.
     Each step must change ``total_mass()`` by ``dt * inflow_rate()`` to
     within 1e-12 of the mass.  Each sample's rows go to ``writer`` as soon
-    as they are recorded.
+    as they are recorded; a streamed run's store then holds only the
+    latest sample's rows, since the earlier ones are already on disk.
     """
     t0 = now()
     steps = (t_end - t0) / dt
@@ -150,16 +151,15 @@ def _march(now, advance, total_mass, inflow_rate, sample, dt, dt_max,
     ledger = MassLedger()
     mass0 = prev_mass = total_mass()
     cumulative = 0.0
-    written = 0
 
     def record(out, mass):
-        nonlocal written
         t = now()
+        if writer is not None:
+            store.rows.clear()
         sample(store, t, out)
         ledger.sample(t, mass, cumulative, mass0, store)
         if writer is not None:
-            writer.write_rows(store.rows[written:])
-            written = len(store.rows)
+            writer.write_rows(store.rows)
 
     record(None, mass0)
     next_sample = t0 + cadence
@@ -508,29 +508,26 @@ def five_node_network(eos, dx_target: float = 62.5) -> Network:
     return Network(net.nodes, net.edges, eos)
 
 
+PIPE_FIELDS = ("p_in", "p_out", "mflow_in", "mflow_out", "mass")
+
+
 def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
                      writer=None) -> RunResult:
     """Run a network to ``t_end``, recording node/pipe series and the mass
-    ledger on the cadence.  The step must satisfy the stability bound."""
+    ledger on the cadence.  The step must satisfy the stability bound.
+    With a ``writer``, each sample's rows stream to it and the result's
+    store keeps only the last sample's rows."""
     net.require_states()
 
     def sample(store, t, records):
         if records is None:
-            records = {node.id: node_record(net, node) for node in net.nodes}
+            records = node_records(net)
         for node_id, (p, netflow) in records.items():
             store.add(t, "node", node_id, "pressure", p)
             store.add(t, "node", node_id, "net_flow", netflow)
-        for e in net.edges:
-            store.add(t, "pipe", e.id, "p_in",
-                      e.gas[0].pressure(float(e.state.rho[0])))
-            store.add(t, "pipe", e.id, "p_out",
-                      e.gas[-1].pressure(float(e.state.rho[-1])))
-            store.add(t, "pipe", e.id, "mflow_in",
-                      e.geometry.area * float(e.state.phi[0]))
-            store.add(t, "pipe", e.id, "mflow_out",
-                      e.geometry.area * float(e.state.phi[-1]))
-            store.add(t, "pipe", e.id, "mass",
-                      pipe_ops.total_mass(e.state, e.geometry, e.grid))
+        for e, values in zip(net.edges, net.pipe_records()):
+            for name, value in zip(PIPE_FIELDS, values):
+                store.add(t, "pipe", e.id, name, value)
 
     result = _march(lambda: net.time, lambda: network_step(net, dt),
                     net.total_mass, net.boundary_inflow, sample, dt,
@@ -541,8 +538,8 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
 
 def run_five_node_network(eos_kind: str = "cnga", dx_target: float = 62.5,
                           dt: float | None = 0.125, t_end: float = DAY,
-                          cadence: float = 60.0, cfl_safety: float = 0.9,
-                          writer=None) -> RunResult:
+                          cadence: float = 60.0, cfl_safety: float = 0.9
+                          ) -> RunResult:
     """Steady-start 24 h run of the five-node network.
 
     The benchmark per-pipe initial data is the steady state of the ideal
@@ -560,7 +557,7 @@ def run_five_node_network(eos_kind: str = "cnga", dx_target: float = 62.5,
     steady.populate(net, t0=0.0)
     if dt is None:
         dt = net.cfl_max_dt(cfl_safety)
-    result = simulate_network(net, dt, t_end, cadence, writer=writer)
+    result = simulate_network(net, dt, t_end, cadence)
     result.summary.update(eos=eos_kind, dt=dt, dx_target=dx_target)
     result.summary.update((f"steady_{k}", v)
                           for k, v in steady.to_dict().items())

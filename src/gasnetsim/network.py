@@ -5,14 +5,21 @@ the adjoining pipe ends through a shared nodal pressure and optional
 compressor boost ratios.  Flow from a pipe's from-node toward its to-node
 is positive.
 
-A network step runs three global phases: interior flux updates on every
-pipe, nodal solves assigning every boundary-face flux, then density updates
-on every pipe.  Per-node sums always run in fixed incidence order, so
-results are deterministic.
+The network keeps one flat ``rho`` over the cells and one flat ``phi``
+over the faces of all pipes, pipe after pipe in edge order; each
+``edge.state.rho``/``.phi`` is a view into them.  A network step runs three
+global phases, each a handful of array operations over the flat state: the
+interior flux update on every face but the pipe ends, the nodal solves
+assigning every pipe-end flux (all nodes at once, gathered by incidence
+index arrays and summed per node with ``np.bincount``), then the density
+update on every cell.  Per-node sums always run in fixed incidence order,
+so results are deterministic.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,8 +28,9 @@ import numpy as np
 
 from . import pipe as pipe_ops
 from .eos import CngaGas
-from .errors import ConfigError, InfeasibleNodeError, SimulationError
-from .pipe import LEFT, RIGHT, PipeGeometry, PipeGrid, PipeState
+from .errors import (ConfigError, InfeasibleNodeError, PositivityError,
+                     SimulationError, UnstableRunError)
+from .pipe import PipeGeometry, PipeGrid, PipeState
 from .profiles import Constant, TimeProfile
 
 UNIT_RATIO = Constant(1.0)
@@ -72,7 +80,6 @@ class _End:
 
     edge: PipeEdge
     sgn: int            # +1: flow on this edge arrives at the node
-    side: str           # which pipe end touches the node
     cell: int           # boundary cell index into rho
     face: int           # boundary face index into phi
     inner: int          # face adjacent to the boundary face
@@ -130,7 +137,17 @@ def graph_violations(nodes, pipes) -> list[str]:
 
 class Network:
     """Validated pipe graph with one shared EoS model, bound to every pipe's
-    cells as ``edge.gas``."""
+    cells as ``edge.gas``.
+
+    The state of a network is one flat ``rho`` over the cells and one flat
+    ``phi`` over the faces of all pipes, pipe after pipe in edge order, and
+    every ``edge.state.rho``/``.phi`` is a view into them.  Each step's
+    ``require_states`` binds the views, and binds them afresh, from the
+    states' current values, whenever an edge's ``state``, ``state.rho`` or
+    ``state.phi`` is not the object it bound.  The network's ``time`` and
+    ``step_index`` are the clock of a network run; the pipe states' own
+    do not advance.
+    """
 
     def __init__(self, nodes, edges, eos, time: float = 0.0):
         self.nodes = list(nodes)
@@ -147,13 +164,16 @@ class Network:
         for e in self.edges:
             e.gas = eos.at(e.grid.cell_centers)
             self.incidence[e.from_node].append(_End(
-                edge=e, sgn=-1, side=LEFT, cell=0, face=0, inner=1,
+                edge=e, sgn=-1, cell=0, face=0, inner=1,
                 gas=e.gas[0], ratio=e.inlet_ratio or UNIT_RATIO))
             self.incidence[e.to_node].append(_End(
-                edge=e, sgn=+1, side=RIGHT, cell=-1, face=-1, inner=-2,
+                edge=e, sgn=+1, cell=-1, face=-1, inner=-2,
                 gas=e.gas[-1], ratio=e.outlet_ratio or UNIT_RATIO))
         self._dual_compressor_edges = [e for e in self.edges
                                        if e.inlet_ratio and e.outlet_ratio]
+        self._flat = _FlatLayout(self)
+        self.rho = self.phi = None
+        self._bound = [(_UNBOUND,) * 3] * len(self.edges)
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -168,22 +188,191 @@ class Network:
         raise KeyError(edge_id)
 
     def require_states(self):
+        """Fail unless every pipe has a state; (re)bind the flat arrays
+        unless every edge still holds the state and arrays last bound."""
+        for e, (state, rho, phi) in zip(self.edges, self._bound):
+            s = e.state
+            if s is not state or s.rho is not rho or s.phi is not phi:
+                self._bind()
+                return
+
+    def _bind(self):
         missing = [e.id for e in self.edges if e.state is None]
         if missing:
             raise SimulationError(f"pipes without initial state: {missing}")
+        misfit = [e.id for e in self.edges
+                  if np.shape(e.state.rho) != (e.grid.n_cells,) or
+                  np.shape(e.state.phi) != (e.grid.n_cells + 1,)]
+        if misfit:
+            raise SimulationError(f"pipe states that do not fit their "
+                                  f"grids: {misfit}")
+        self.rho = np.concatenate([e.state.rho for e in self.edges],
+                                  dtype=float)
+        self.phi = np.concatenate([e.state.phi for e in self.edges],
+                                  dtype=float)
+        cells, faces = self._flat.cell_start, self._flat.face_start
+        for k, e in enumerate(self.edges):
+            e.state.rho = self.rho[cells[k]:cells[k + 1]]
+            e.state.phi = self.phi[faces[k]:faces[k + 1]]
+        self._bound = [(e.state, e.state.rho, e.state.phi)
+                       for e in self.edges]
+        self._masses = [(w, e.state.rho)
+                        for w, e in zip(self._flat.mass_weights, self.edges)]
+
+    def _pipe_masses(self) -> list:
+        """``S dx sum(rho)`` of every pipe, each a sum over its own slice."""
+        add = np.add.reduce
+        return [w * float(add(rho)) for w, rho in self._masses]
 
     def total_mass(self) -> float:
-        return sum(pipe_ops.total_mass(e.state, e.geometry, e.grid)
-                   for e in self.edges)
+        self.require_states()
+        return sum(self._pipe_masses())
 
     def boundary_inflow(self) -> float:
         """Net mass inflow rate summed pipe-locally, S (phi_0 - phi_N)."""
-        return sum(pipe_ops.boundary_throughput(e.state, e.geometry)
-                   for e in self.edges)
+        self.require_states()
+        fl, phi = self._flat, self.phi
+        return sum((fl.pipe_area * (phi[fl.first_face] -
+                                    phi[fl.last_face])).tolist())
+
+    def pipe_records(self) -> list:
+        """``(p_in, p_out, mflow_in, mflow_out, mass)`` of every pipe, in
+        edge order."""
+        self.require_states()
+        fl, rho, phi = self._flat, self.rho, self.phi
+        return list(zip(fl.inlet_gas.pressure(rho[fl.first_cell]).tolist(),
+                        fl.outlet_gas.pressure(rho[fl.last_cell]).tolist(),
+                        (fl.pipe_area * phi[fl.first_face]).tolist(),
+                        (fl.pipe_area * phi[fl.last_face]).tolist(),
+                        self._pipe_masses()))
 
     def cfl_max_dt(self, safety: float = 1.0) -> float:
         return min(pipe_ops.cfl_max_dt(e.state, e.grid, e.gas, safety)
                    for e in self.edges)
+
+
+_UNBOUND = object()
+
+
+class _FlatLayout:
+    """Index and coefficient arrays of a network's flat state, built once.
+
+    Cells and faces are numbered pipe after pipe in edge order.  The
+    interior flux pass runs over every pair of consecutive cells and keeps
+    the pairs inside a pipe.  Pipe ends are grouped as the ends at slack
+    nodes, the ends at demand nodes solved from their mass balance, and
+    dead ends (a demand node with one pipe end), each group in node order
+    and each node's ends in incidence order.
+    """
+
+    def __init__(self, net: Network):
+        edges, nodes = net.edges, net.nodes
+        n = [e.grid.n_cells for e in edges]
+        self.cell_start = [0, *itertools.accumulate(n)]
+        self.face_start = [c + k for k, c in enumerate(self.cell_start)]
+        pipe_of_cell = np.repeat(np.arange(len(edges)), n)
+        n_cells = self.cell_start[-1]
+        # pair i joins cells i and i + 1 across face i + 1 + (pipe of cell i)
+        self.pair_face = np.arange(1, n_cells) + pipe_of_cell[:-1]
+        seams = np.array(self.cell_start[1:-1], dtype=np.intp) - 1
+        self.interior = np.delete(np.arange(n_cells - 1), seams)
+        self.interior_face = self.pair_face[self.interior]
+        # each cell's left face, as an index into the face differences
+        self.left_face = np.arange(n_cells) + pipe_of_cell
+        self.beta = np.repeat([e.geometry.beta for e in edges], n)[:-1]
+        self.dx = np.repeat([e.grid.dx for e in edges], n)
+        self.dx_pair = self.dx[:-1]
+
+        gases = [e.gas for e in edges]
+        shared = gases[0] if all(g is gases[0] for g in gases) and \
+            gases[0][0] is gases[0] else None
+        coefficients = [np.concatenate([np.broadcast_to(getattr(g, c), (k,))
+                                        for g, k in zip(gases, n)])
+                        for c in ("b1", "b2", "rt")]
+
+        def gas_of(cells):
+            if shared is not None:
+                return shared
+            return CngaGas(*(c[cells] for c in coefficients))
+        self.gas = gas_of(slice(None))
+
+        self.mass_weights = [e.geometry.area * e.grid.dx for e in edges]
+        self.pipe_area = np.array([e.geometry.area for e in edges])
+        self.first_cell = np.array(self.cell_start[:-1], dtype=np.intp)
+        self.last_cell = np.array(self.cell_start[1:], dtype=np.intp) - 1
+        self.first_face = np.array(self.face_start[:-1], dtype=np.intp)
+        self.last_face = np.array(self.face_start[1:], dtype=np.intp) - 1
+        self.inlet_gas = gas_of(self.first_cell)
+        self.outlet_gas = gas_of(self.last_cell)
+
+        self.node_ids = [node.id for node in nodes]
+        kinds = [0 if node.is_slack else
+                 1 if len(net.incidence[node.id]) > 1 else 2
+                 for node in nodes]
+        groups = [[i for i, kind in enumerate(kinds) if kind == g]
+                  for g in range(3)]
+        self.slack_nodes = np.array(groups[0], dtype=np.intp)
+        self.slack_pressures = [nodes[i].bc.pressure for i in groups[0]]
+        self.solved_nodes = np.array(groups[1], dtype=np.intp)
+        self.withdrawals = [nodes[i].bc.withdrawal
+                            for i in groups[1] + groups[2]]
+        ends = [(i, end) for g in groups for i in g
+                for end in net.incidence[nodes[i].id]]
+        sizes = [sum(len(net.incidence[nodes[i].id]) for i in g)
+                 for g in groups]
+        self.slack = slice(0, sizes[0])
+        self.solved = slice(sizes[0], sizes[0] + sizes[1])
+        self.dead = slice(self.solved.stop, len(ends))
+        self.targeted = slice(0, self.solved.stop)    # flux from a density
+        self.solved_pos = np.searchsorted(
+            groups[1], [i for i, _ in ends[self.solved]]).astype(np.intp)
+
+        pipe_pos = {id(e): k for k, e in enumerate(edges)}
+        pipes = [pipe_pos[id(e.edge)] for _, e in ends]
+        self.end_node = np.array([i for i, _ in ends], dtype=np.intp)
+        self.end_cell = np.array([self.cell_start[k] + e.cell % n[k]
+                                  for k, (_, e) in zip(pipes, ends)],
+                                 dtype=np.intp)
+        self.end_face, self.end_inner = (
+            np.array([self.face_start[k] + local % (n[k] + 1)
+                      for k, local in zip(pipes, column)], dtype=np.intp)
+            for column in ([e.face for _, e in ends],
+                           [e.inner for _, e in ends]))
+        self.sgn = np.array([e.sgn for _, e in ends], dtype=float)
+        self.end_area = np.array([e.area for _, e in ends])
+        self.end_dx = np.array([e.dx for _, e in ends])
+        self.area_dx = np.array([e.area * e.dx for _, e in ends])
+        self.sgn_area = np.array([e.sgn * e.area for _, e in ends])
+        self.boosted = [(j, e.ratio) for j, (_, e) in enumerate(ends)
+                        if e.ratio is not UNIT_RATIO]
+        self.slack_gas = gas_of(self.end_cell[self.slack])
+        self.solved_poly = gas_of(self.end_cell[self.solved]).density_poly()
+        # (nodes, their first pipe ends, the gas of those ends' cells) of
+        # the demand nodes that report a boundary-cell pressure: all of them
+        # before a step, the dead ends after one
+        first = {}
+        for j, (i, _) in enumerate(ends):
+            first.setdefault(i, j)
+
+        def report(group):
+            first_ends = np.array([first[i] for i in group], dtype=np.intp)
+            return (np.array(group, dtype=np.intp), first_ends,
+                    gas_of(self.end_cell[first_ends]))
+        self.demand_report = report(groups[1] + groups[2])
+        self.dead_report = report(groups[2])
+
+    def alphas(self, t) -> np.ndarray:
+        """Boost ratio of every pipe end at time ``t``."""
+        alpha = np.ones(self.end_node.size)
+        for j, ratio in self.boosted:
+            alpha[j] = ratio(t)
+        return alpha
+
+    @staticmethod
+    def locate(index: int, starts) -> tuple:
+        """``(pipe position, pipe-local index)`` of a flat cell or face."""
+        k = bisect.bisect_right(starts, index) - 1
+        return k, index - starts[k]
 
 
 def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
@@ -193,6 +382,8 @@ def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
     Solves ``sum_k w_k rho_k(alpha_k p) = sum_k w_k rho_k^n - q + inflow``
     where ``w_k = S_k dx_k / dt``, ``inflow = sum_k sgn_k S_k phi_k-`` and
     each end's density map is the quadratic ``rho(p) = u p + v p**2``.
+    ``network_step`` solves every demand node this way at once; this scalar
+    form is the reference it is tested against.
     """
     rhs = float(np.dot(weights, rho_ends)) - q + inflow
     if rhs < 0.0:
@@ -211,38 +402,63 @@ def flow_balance_residual(sgns, areas, phis, q: float) -> float:
                         np.asarray(phis, dtype=float))) - q
 
 
-def _solve_demand_node(node: Node, ends, dt, t_half, t_next):
-    """Phase-2 treatment of a withdrawal node; returns nodal pressure."""
-    q = node.bc.withdrawal(t_half)
-    if len(ends) == 1:
-        # dead-end pipe: the balance pins the boundary flux directly
-        end = ends[0]
-        end.edge.state.phi[end.face] = end.sgn * (q / end.area)
-        return None
-    weights = [end.area * end.dx / dt for end in ends]
-    alphas = [end.ratio(t_next) for end in ends]
-    rho_ends = [float(end.edge.state.rho[end.cell]) for end in ends]
-    inflow = sum(end.sgn * end.area * float(end.edge.state.phi[end.inner])
-                 for end in ends)
-    polys = [end.gas.density_poly() for end in ends]
-    p_l = nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
-                               node.id)
-    targets = [u * (al * p_l) + v * (al * p_l) ** 2
-               for al, (u, v) in zip(alphas, polys)]
-    for end, rho_t in zip(ends, targets):
-        pipe_ops.boundary_flux_from_density(end.edge.state, end.edge.grid,
-                                            end.side, rho_t, dt)
-    return p_l
+def _nodal_phase(net: Network, dt, t_half, t_next):
+    """Assign every pipe-end flux from the nodal conditions.
+
+    A slack node's ends land their boundary cells on the boosted nodal
+    pressure; a dead end carries the withdrawal; every other demand node
+    solves ``nodal_pressure_solve``'s quadratic, all nodes at once.
+    Returns the ends' boost ratios and the nodal pressures at ``t_next``,
+    dead-end nodes left unset.
+    """
+    fl, rho, phi = net._flat, net.rho, net.phi
+    alpha = fl.alphas(t_next)
+    p = np.empty(len(fl.node_ids))
+    p[fl.slack_nodes] = [pressure(t_next) for pressure in fl.slack_pressures]
+    q = np.array([withdrawal(t_half) for withdrawal in fl.withdrawals])
+    rho_t = np.empty(fl.targeted.stop)
+    s = fl.slack
+    rho_t[s] = fl.slack_gas.density(alpha[s] * p[fl.end_node[s]])
+
+    m, pos, k = fl.solved, fl.solved_pos, fl.solved_nodes.size
+    w = fl.area_dx[m] / dt
+    al = alpha[m]
+    u, v = fl.solved_poly
+    rhs = np.bincount(pos, w * rho[fl.end_cell[m]], k) - q[:k] + \
+        np.bincount(pos, fl.sgn_area[m] * phi[fl.end_inner[m]], k)
+    a = np.bincount(pos, w * v * al * al, k)
+    b = np.bincount(pos, w * u * al, k)
+    bad = (rhs < 0.0) | (b <= 0.0)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InfeasibleNodeError(
+            fl.node_ids[fl.solved_nodes[i]],
+            f"balance rhs {rhs[i]:g} < 0" if rhs[i] < 0.0
+            else "degenerate density map")
+    p_solved = 2.0 * rhs / (b + np.sqrt(b * b + 4.0 * a * rhs))
+    p[fl.solved_nodes] = p_solved
+    p_end = al * p_solved[pos]
+    rho_t[m] = u * p_end + v * p_end ** 2
+
+    # the boundary flux that lands each boundary cell on its target density
+    t = fl.targeted
+    phi[fl.end_face[t]] = phi[fl.end_inner[t]] - fl.sgn[t] * (
+        fl.end_dx[t] / dt * (rho_t - rho[fl.end_cell[t]]))
+    d = fl.dead
+    phi[fl.end_face[d]] = fl.sgn[d] * (q[k:] / fl.end_area[d])
+    return alpha, p
 
 
-def _apply_slack_node(node: Node, ends, dt, t_next):
-    p_l = node.bc.pressure(t_next)
-    for end in ends:
-        alpha = end.ratio(t_next)
-        rho_t = end.gas.density(alpha * p_l)
-        pipe_ops.boundary_flux_from_density(end.edge.state, end.edge.grid,
-                                            end.side, rho_t, dt)
-    return p_l
+def _records(net: Network, alpha, p, report) -> dict:
+    """Node records from the nodal pressures ``p``, the nodes of ``report``
+    taking their first pipe end's boundary-cell pressure pulled back
+    through its boost ratio."""
+    fl = net._flat
+    nodes, ends, gas = report
+    p[nodes] = gas.pressure(net.rho[fl.end_cell[ends]]) / alpha[ends]
+    netflow = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],
+                          len(p))
+    return dict(zip(fl.node_ids, zip(p.tolist(), netflow.tolist())))
 
 
 def network_step(net: Network, dt: float) -> dict:
@@ -251,6 +467,9 @@ def network_step(net: Network, dt: float) -> dict:
     Each record is ``(pressure, net_inflow)`` where ``net_inflow`` is
     ``sum_k sgn_k S_k phi_k`` over the node's pipe ends: the withdrawal at
     demand nodes and the implied (negative of injection) at slack nodes.
+    The three phases run over the flat state: the interior faces of every
+    pipe (``pipe.face_fluxes``), every pipe end (``_nodal_phase``) and
+    every cell (``pipe.apply_density_update``).
     """
     net.require_states()
     t_half = net.time + 0.5 * dt
@@ -262,44 +481,41 @@ def network_step(net: Network, dt: float) -> dict:
             raise SimulationError(
                 f"compressors at both ends of pipe {e.id} active at t={t_next}")
 
-    for e in net.edges:
-        pipe_ops.interior_flux_update(e.state, e.geometry, e.grid, e.gas, dt,
-                                      e.id)
+    fl, rho, phi = net._flat, net.rho, net.phi
+    new = pipe_ops.face_fluxes(rho, fl.gas.pressure(rho), phi[fl.pair_face],
+                               fl.beta, dt, dt / fl.dx_pair)[fl.interior]
+    if not np.isfinite(new).all():
+        k, face = fl.locate(int(fl.interior_face[
+            pipe_ops.first_nonfinite(new)]), fl.face_start)
+        raise UnstableRunError(net.step_index, face, net.edges[k].id)
+    phi[fl.interior_face] = new
 
-    pressures = {}
-    for node in net.nodes:
-        ends = net.incidence[node.id]
-        if node.is_slack:
-            pressures[node.id] = _apply_slack_node(node, ends, dt, t_next)
-        else:
-            pressures[node.id] = _solve_demand_node(node, ends, dt, t_half,
-                                                    t_next)
+    alpha, p = _nodal_phase(net, dt, t_half, t_next)
 
-    for e in net.edges:
-        pipe_ops.density_update(e.state, e.grid, dt, e.id)
+    cell = pipe_ops.apply_density_update(rho, (phi[1:] - phi[:-1])[
+        fl.left_face], dt / fl.dx)
+    if cell is not None:
+        k, local = fl.locate(cell, fl.cell_start)
+        raise PositivityError(net.step_index + 1, local, net.edges[k].id)
     net.time = t_next
     net.step_index += 1
-    return {node.id: node_record(net, node, pressures[node.id])
-            for node in net.nodes}
+    return _records(net, alpha, p, fl.dead_report)
 
 
-def node_record(net: Network, node: Node, pressure=None) -> tuple:
-    """``(pressure, net_inflow)`` of a node at the current network time.
+def node_records(net: Network) -> dict:
+    """``(pressure, net_inflow)`` of every node at the current network time,
+    keyed by node id, as ``network_step`` returns them.
 
-    Without a solved ``pressure``, a slack node reports its prescribed one
-    and a demand node its first boundary-cell pressure, pulled back through
-    that end's boost ratio.
+    Before any step has solved them, a slack node reports its prescribed
+    pressure and a demand node its first boundary cell's pressure, pulled
+    back through that end's boost ratio.
     """
-    ends = net.incidence[node.id]
-    if pressure is None and node.is_slack:
-        pressure = node.bc.pressure(net.time)
-    elif pressure is None:
-        end = ends[0]
-        p_b = end.gas.pressure(float(end.edge.state.rho[end.cell]))
-        pressure = p_b / end.ratio(net.time)
-    netflow = sum(end.sgn * end.area * float(end.edge.state.phi[end.face])
-                  for end in ends)
-    return pressure, netflow
+    net.require_states()
+    fl = net._flat
+    p = np.empty(len(fl.node_ids))
+    p[fl.slack_nodes] = [pressure(net.time)
+                         for pressure in fl.slack_pressures]
+    return _records(net, fl.alphas(net.time), p, fl.demand_report)
 
 
 def cell_count_violation(pipe: str, length: float, dx: float) -> str | None:

@@ -108,23 +108,34 @@ def friction_invert(y, a):
     return float(out) if out.ndim == 0 else out
 
 
-def interior_flux_update(state: PipeState, geom: PipeGeometry, grid: PipeGrid,
-                         gas, dt: float, pipe_id: str = "") -> None:
-    """Advance the interior-face fluxes one step using current densities and
-    the gas bound to the cells.
+def face_fluxes(rho, p, phi, beta, dt: float, dt_dx):
+    """New fluxes at the faces between consecutive cells ``rho[:-1]`` and
+    ``rho[1:]``, from the faces' current fluxes ``phi`` and the cell
+    pressures ``p``; ``beta`` and ``dt_dx`` are scalars or per-face arrays.
 
     Each face decouples: with ``a = beta dt / (rho_i + rho_{i+1})`` the new
     flux solves ``x (1 + a |x|) = phi - (dt/dx)(p_{i+1} - p_i) - a phi|phi|``.
     """
-    p = gas.pressure(state.rho)
-    a = geom.beta * dt / (state.rho[:-1] + state.rho[1:])
-    phi = state.phi[1:-1]
+    a = beta * dt / (rho[:-1] + rho[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        y = phi - (dt / grid.dx) * (p[1:] - p[:-1]) - a * phi * np.abs(phi)
-        new = friction_invert(y, a)
+        y = phi - dt_dx * (p[1:] - p[:-1]) - a * phi * np.abs(phi)
+        return friction_invert(y, a)
+
+
+def first_nonfinite(values) -> int:
+    """Index of the first non-finite entry of ``values``."""
+    return int(np.flatnonzero(~np.isfinite(values))[0])
+
+
+def interior_flux_update(state: PipeState, geom: PipeGeometry, grid: PipeGrid,
+                         gas, dt: float, pipe_id: str = "") -> None:
+    """Advance the interior-face fluxes one step (``face_fluxes``) using
+    current densities and the gas bound to the cells."""
+    new = face_fluxes(state.rho, gas.pressure(state.rho), state.phi[1:-1],
+                      geom.beta, dt, dt / grid.dx)
     if not np.isfinite(new).all():
-        face = int(np.flatnonzero(~np.isfinite(new))[0]) + 1
-        raise UnstableRunError(state.step_index, face, pipe_id)
+        raise UnstableRunError(state.step_index, first_nonfinite(new) + 1,
+                               pipe_id)
     state.phi[1:-1] = new
 
 
@@ -143,15 +154,25 @@ def boundary_flux_from_density(state: PipeState, grid: PipeGrid, side: str,
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def apply_density_update(rho, flux_jump, dt_dx) -> int | None:
+    """``rho -= dt_dx * flux_jump`` in place, where ``flux_jump`` is each
+    cell's right-face minus left-face flux.  Returns the first cell whose
+    density is no longer positive (NaN included), or None."""
+    rho -= dt_dx * flux_jump
+    if (rho > 0).all():
+        return None
+    bad = rho <= 0
+    if not np.all(np.isfinite(rho)):
+        bad = bad | ~np.isfinite(rho)
+    return int(np.flatnonzero(bad)[0])
+
+
 def density_update(state: PipeState, grid: PipeGrid, dt: float,
                    pipe_id: str = "") -> None:
     """Advance densities one step from the face fluxes; advances time."""
-    state.rho -= (dt / grid.dx) * (state.phi[1:] - state.phi[:-1])
-    if not (state.rho > 0).all():
-        bad = state.rho <= 0
-        if not np.all(np.isfinite(state.rho)):
-            bad = bad | ~np.isfinite(state.rho)
-        cell = int(np.flatnonzero(bad)[0])
+    cell = apply_density_update(state.rho, state.phi[1:] - state.phi[:-1],
+                                dt / grid.dx)
+    if cell is not None:
         raise PositivityError(state.step_index + 1, cell, pipe_id)
     state.step_index += 1
     state.time += dt

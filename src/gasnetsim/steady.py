@@ -8,7 +8,8 @@ over its pipe ends, in incidence order, less its withdrawal; each pipe's row
 is the outlet pressure that its profile reaches from the boosted from-node
 pressure, less the boosted to-node pressure.  A damped Newton iteration
 with a finite-difference Jacobian drives the rows to zero around an
-adaptive ODE integration of each pipe profile.
+adaptive ODE integration of each pipe profile.  A pipe row that is not
+finite (an overflowing profile) stops the solve at once, naming the pipe.
 """
 
 from __future__ import annotations
@@ -50,21 +51,24 @@ def integrate_pipe_pressure(eos, geometry, p_in: float, mflow: float,
         return p_in - length, (_constant_profile(p_in) if dense else None)
     if geometry.beta == 0.0 or phi == 0.0:
         return p_in, (_constant_profile(p_in) if dense else None)
-    drag = geometry.beta * phi * abs(phi)
+    # a profile that overflows comes back non-finite for the caller to
+    # report by pipe, without numpy's floating-point warnings on the way
+    with np.errstate(all="ignore"):
+        drag = geometry.beta * phi * abs(phi)
 
-    def rhs(x, p):
-        return [-drag / eos.at(x).density(max(p[0], PRESSURE_FLOOR))]
+        def rhs(x, p):
+            return [-drag / eos.at(x).density(max(p[0], PRESSURE_FLOOR))]
 
-    def hit_floor(x, p):
-        return p[0] - PRESSURE_FLOOR
-    hit_floor.terminal = True
+        def hit_floor(x, p):
+            return p[0] - PRESSURE_FLOOR
+        hit_floor.terminal = True
 
-    sol = solve_ivp(rhs, (0.0, length), [p_in], rtol=ODE_RTOL, atol=1e-2,
-                    events=hit_floor, dense_output=dense)
-    if sol.t[-1] < length:
-        slope = drag / eos.at(sol.t[-1]).density(PRESSURE_FLOOR)
-        p_out = PRESSURE_FLOOR - slope * (length - sol.t[-1])
-        return p_out, None
+        sol = solve_ivp(rhs, (0.0, length), [p_in], rtol=ODE_RTOL, atol=1e-2,
+                        events=hit_floor, dense_output=dense)
+        if sol.t[-1] < length:
+            slope = drag / eos.at(sol.t[-1]).density(PRESSURE_FLOOR)
+            p_out = PRESSURE_FLOOR - slope * (length - sol.t[-1])
+            return p_out, None
     profile = (lambda x, s=sol: s.sol(np.asarray(x, dtype=float))[0]) \
         if dense else None
     return float(sol.y[0, -1]), profile
@@ -136,8 +140,13 @@ def solve_steady_state(net: Network, t0: float = 0.0) -> SteadySolution:
                 bal += sgn * z[n_p + j]
             res[i] = bal
         for j in range(n_m):
-            _, p_out, p_down, _ = pipe_pressures(z, j)
+            p_in, p_out, p_down, _ = pipe_pressures(z, j)
             res[n_p + j] = p_out - p_down
+            if not np.isfinite(res[n_p + j]):
+                raise SteadyStateError(
+                    f"steady pressure of pipe {net.edges[j].id} is not "
+                    f"finite: outlet {p_out:g} Pa from inlet {p_in:g} Pa "
+                    f"at flow {z[n_p + j]:g} kg/s")
         return res
 
     def scaled_norm(res):

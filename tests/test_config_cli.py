@@ -1,9 +1,11 @@
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from gasnetsim import cli
 from gasnetsim.cli import main
 from gasnetsim.config import (build_network, config_sha, load_config,
                               parse_config, save_config)
@@ -272,7 +274,8 @@ def test_negative_withdrawal_is_an_injection():
 # steady failures on the bundled config that must exit 2 with their message
 STEADY_FAILURES = {
     "non-positive nodal pressure": (("compressors", 0, "ratio"), 1.2),
-    "singular Jacobian": (("pipes", 0, "friction"), 1e300),
+    "steady pressure of pipe 1 is not finite": (("pipes", 0, "friction"),
+                                                1e300),
     "stalled": (("nodes", 4, "withdrawal"), 400),
 }
 
@@ -281,13 +284,18 @@ STEADY_FAILURES = {
                          [(m, *case) for m, case in STEADY_FAILURES.items()],
                          ids=list(STEADY_FAILURES))
 def test_steady_failures_exit_2(message, path, value, five_node_path,
-                                capsys):
+                                capfd):
     doc = _mutated(path, value, json.loads(five_node_path.read_text()))
     five_node_path.write_text(json.dumps(doc))
-    assert main(["steady", str(five_node_path), "--dx", "4000"]) == 2
-    err = capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["steady", str(five_node_path), "--dx", "4000"]) == 2
+    out, err = capfd.readouterr()
     assert "error: steady_state_failure: " in err and message in err
     assert "Traceback" not in err
+    # nothing non-finite reaches numpy or LAPACK on the way
+    assert "DLASCL" not in out + err and "RuntimeWarning" not in out + err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_disconnected_graph_fails_validate_and_steady(tmp_path, capsys):
@@ -384,3 +392,36 @@ def test_unstable_step_in_config_leaves_no_csv(tmp_path, capsys):
     assert main(["run", str(config), "--out", str(out)]) == 2
     assert "error: cfl_violation: " in capsys.readouterr().err
     assert not (out / "run.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "{config}", "--dx", "4000", "--t-end", "60"],
+    ["five-node", "--dx", "4000", "--t-end", "60"],
+    ["steady", "{config}", "--dx", "4000"]], ids=lambda c: c[0])
+def test_output_path_that_is_a_file_exits_1(command, five_node_path,
+                                             tmp_path, capfd):
+    blocker = tmp_path / "f"
+    blocker.touch()
+    argv = [a.format(config=five_node_path) for a in command]
+    assert main(argv + ["--out", str(blocker)]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert blocker.is_file() and blocker.stat().st_size == 0
+
+
+def test_missing_config_is_a_validation_error(tmp_path, capfd):
+    assert main(["run", str(tmp_path / "nope.json")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: validation: cannot read config ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unexpected_exception_is_one_internal_error_line(five_node_path,
+                                                         monkeypatch, capfd):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+    monkeypatch.setattr(cli, "load_config", broken)
+    assert main(["validate", str(five_node_path)]) == 2
+    err = capfd.readouterr().err
+    assert err == "error: internal_error: KeyError: 'boom'\n"

@@ -15,6 +15,7 @@ from gasnetsim.experiments import (MassLedger, l2_error, l2_norm,
                                    five_node_network)
 from gasnetsim.eos import CngaGas
 from gasnetsim.network import Network
+from gasnetsim.output import SeriesWriter, write_series
 from gasnetsim.steady import solve_steady_state
 
 
@@ -284,3 +285,24 @@ def test_step_clock_sees_every_network_step(monkeypatch):
     res = _short_network_run()
     assert res.summary["steps"] > 0
     assert len(calls) == res.summary["steps"]
+
+
+def test_streamed_run_writes_the_unstreamed_rows(tmp_path):
+    def run(writer=None):
+        net = five_node_network(CngaGas(), dx_target=4000.0)
+        solve_steady_state(net).populate(net)
+        return simulate_network(net, net.cfl_max_dt(0.9), 300.0, 60.0,
+                                writer=writer)
+
+    with SeriesWriter(tmp_path / "streamed.csv") as writer:
+        streamed = run(writer)
+    whole = run()
+    write_series(whole.store.rows, tmp_path / "whole.csv")
+    assert (tmp_path / "streamed.csv").read_bytes() == \
+        (tmp_path / "whole.csv").read_bytes()
+    # earlier samples are on disk only; the store keeps the last one
+    assert {row[0] for row in streamed.store.rows} == \
+        {whole.store.rows[-1][0]}
+    assert streamed.store.rows == [row for row in whole.store.rows
+                                   if row[0] == whole.store.rows[-1][0]]
+    assert streamed.ledger.times == whole.ledger.times

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from gasnetsim.eos import CngaGas, IdealGas
-from gasnetsim.errors import InfeasibleNodeError, SimulationError
+from gasnetsim import pipe as pipe_ops
+from gasnetsim.eos import (CngaGas, IdealGas, NonIsothermalCnga,
+                           TemperatureProfile)
+from gasnetsim.errors import (InfeasibleNodeError, PositivityError,
+                              SimulationError, UnstableRunError)
 from gasnetsim.experiments import WAVE_SPEED_REF, five_node_network
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
                                flow_balance_residual, network_step,
                                nodal_pressure_solve)
-from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PressureBC,
-                            step, uniform_state)
+from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState,
+                            PressureBC, interior_flux_update, step,
+                            uniform_state)
 from gasnetsim.profiles import Constant, Harmonic
 from gasnetsim.steady import solve_steady_state
 
@@ -235,3 +239,148 @@ class TestNetworkStep:
             assert new_mass - mass == pytest.approx(inflow,
                                                     abs=1e-12 * new_mass)
             mass = new_mass
+
+
+def mixed_network():
+    """Four nodes, four pipes of different grids and frictions, a per-cell
+    (non-isothermal) gas and an inlet compressor, with perturbed states."""
+    eos = NonIsothermalCnga(TemperatureProfile(ambient=288.706, jump=40.0,
+                                               decay_rate=1e-3))
+    specs = [("p1", "a", "b", 12e3, 0.9144, 0.010, 9),
+             ("p2", "b", "c", 7e3, 0.635, 0.015, 5),
+             ("p3", "c", "d", 20e3, 0.7, 0.008, 14),
+             ("p4", "b", "d", 9e3, 0.5, 0.0, 3)]
+    edges = [PipeEdge(pid, frm, to, PipeGeometry(length, diameter, friction),
+                      PipeGrid(length, n_cells),
+                      inlet_ratio=Constant(1.2) if pid == "p2" else None)
+             for pid, frm, to, length, diameter, friction, n_cells in specs]
+    net = Network([Node("a", SlackBC(Constant(5.0e6))),
+                   Node("b", DemandBC(Constant(20.0))),
+                   Node("c", DemandBC(Harmonic(offset=40.0, amplitude=10.0,
+                                               omega=0.01))),
+                   Node("d", DemandBC(Constant(30.0)))], edges, eos)
+    rng = np.random.default_rng(5)
+    for e in edges:
+        n = e.grid.n_cells
+        e.state = PipeState(e.gas.density(5.0e6) * rng.uniform(0.98, 1.02, n),
+                            rng.uniform(-50.0, 150.0, n + 1))
+    return net
+
+
+def chain_network(eos=None):
+    """Three pipes in a chain a - b - c - d, slack at a; pipe "c" has no
+    friction."""
+    eos = eos or CngaGas()
+    edges = [PipeEdge(pid, frm, to, PipeGeometry(10e3, 0.9144, friction),
+                      PipeGrid(10e3, 10))
+             for pid, frm, to, friction in (("a", "a", "b", 0.01),
+                                            ("m", "b", "c", 0.01),
+                                            ("c", "c", "d", 0.0))]
+    net = Network([Node("a", SlackBC(Constant(6.5e6))),
+                   Node("b", DemandBC(Constant(0.0))),
+                   Node("c", DemandBC(Constant(0.0))),
+                   Node("d", DemandBC(Constant(100.0)))], edges, eos)
+    for e in edges:
+        e.state = uniform_state(e.grid, eos.density(6.5e6), 100.0)
+    return net
+
+
+def states_of(net):
+    return [(e.state.rho.copy(), e.state.phi.copy()) for e in net.edges]
+
+
+class TestFlatStep:
+    def test_interior_faces_match_the_pipe_kernel_bitwise(self):
+        net = mixed_network()
+        dt = 0.5 * net.cfl_max_dt()
+        before = [PipeState(rho, phi) for rho, phi in states_of(net)]
+        network_step(net, dt)
+        for e, state in zip(net.edges, before):
+            interior_flux_update(state, e.geometry, e.grid, e.gas, dt)
+            assert np.array_equal(e.state.phi[1:-1], state.phi[1:-1]), e.id
+
+    def test_states_are_views_of_the_flat_arrays(self):
+        net = mixed_network()
+        network_step(net, 1.0)
+        assert net.rho.size == sum(e.grid.n_cells for e in net.edges)
+        for e in net.edges:
+            assert e.state.rho.base is net.rho and e.state.phi.base is net.phi
+        assert net.total_mass() == sum(
+            pipe_ops.total_mass(e.state, e.geometry, e.grid)
+            for e in net.edges)
+        assert net.boundary_inflow() == sum(
+            pipe_ops.boundary_throughput(e.state, e.geometry)
+            for e in net.edges)
+
+    def test_demand_nodes_match_the_scalar_solve(self):
+        net = mixed_network()
+        dt = 0.5 * net.cfl_max_dt()
+        before = states_of(net)
+        records = network_step(net, dt)
+        t_half, t_next = 0.5 * dt, dt
+        for node in net.nodes:
+            ends = net.incidence[node.id]
+            if node.is_slack or len(ends) == 1:
+                continue
+            pos = [net.edges.index(end.edge) for end in ends]
+            p = nodal_pressure_solve(
+                [end.area * end.dx / dt for end in ends],
+                [end.ratio(t_next) for end in ends],
+                [before[k][0][end.cell] for k, end in zip(pos, ends)],
+                [end.gas.density_poly() for end in ends],
+                node.bc.withdrawal(t_half),
+                sum(end.sgn * end.area * float(end.edge.state.phi[end.inner])
+                    for end in ends), node.id)
+            assert records[node.id][0] == pytest.approx(p, rel=1e-13)
+
+    def test_non_finite_face_names_pipe_and_local_face(self):
+        net = chain_network()
+        network_step(net, 1.0)
+        net.edge("m").state.phi[3] = np.inf
+        with pytest.raises(UnstableRunError,
+                           match="face 3 of pipe m, step 1") as err:
+            network_step(net, 1.0)
+        assert err.value.face == 3 and err.value.step == 1
+
+    def test_drained_cell_names_pipe_and_local_cell(self):
+        net = chain_network()
+        network_step(net, 1.0)
+        # outward fluxes of 1e6 on both faces of cell 6 of the frictionless
+        # last pipe empty it within the step
+        net.edge("c").state.phi[6:8] = [-1e6, 1e6]
+        with pytest.raises(PositivityError,
+                           match="cell 6 of pipe c, step 2") as err:
+            network_step(net, 1.0)
+        assert err.value.cell == 6
+
+    def test_reassigned_state_matches_a_fresh_build(self):
+        net, fresh = chain_network(), chain_network()
+        for k in range(12):
+            if k == 4:
+                e = net.edge("m")
+                e.state = PipeState(e.state.rho.copy(), e.state.phi.copy())
+            if k == 8:
+                e = net.edge("c")
+                e.state.rho = e.state.rho.copy()
+            network_step(net, 1.0)
+            network_step(fresh, 1.0)
+        for (rho, phi), (rho_f, phi_f) in zip(states_of(net),
+                                             states_of(fresh)):
+            assert np.array_equal(rho, rho_f) and np.array_equal(phi, phi_f)
+
+    def test_two_networks_on_the_same_edges_match_a_fresh_build(self):
+        first = chain_network()
+        second = Network(first.nodes, first.edges, first.eos)
+        fresh = chain_network()
+        for k in range(10):
+            network_step(first if k % 2 else second, 1.0)
+            network_step(fresh, 1.0)
+        for (rho, phi), (rho_f, phi_f) in zip(states_of(first),
+                                             states_of(fresh)):
+            assert np.array_equal(rho, rho_f) and np.array_equal(phi, phi_f)
+
+    def test_state_that_does_not_fit_its_grid_is_refused(self):
+        net = chain_network()
+        net.edge("m").state = uniform_state(PipeGrid(10e3, 7), 50.0)
+        with pytest.raises(SimulationError, match=r"fit their grids: \['m'\]"):
+            network_step(net, 1.0)
