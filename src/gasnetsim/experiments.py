@@ -8,6 +8,7 @@ the benchmark setups but can be reduced for quick runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,10 +42,6 @@ class TimeSeriesStore:
     def __init__(self):
         self.rows = []
 
-    def add(self, t, entity, entity_id, fieldname, value):
-        self.rows.append((float(t), entity, entity_id, fieldname,
-                          float(value)))
-
     def series(self, entity, entity_id, fieldname):
         pts = [(t, v) for t, e, i, f, v in self.rows
                if e == entity and i == entity_id and f == fieldname]
@@ -66,18 +63,12 @@ class MassLedger:
     cumulative_inflow: list = field(default_factory=list)
     discrepancy: list = field(default_factory=list)
 
-    def sample(self, t, mass, cumulative, mass0, store=None):
-        """Record a ledger point; also emit it into ``store`` so CSV rows
-        stay in time order."""
-        disc = mass - mass0 - cumulative
+    def sample(self, t, mass, cumulative, mass0):
+        """Record a ledger point."""
         self.times.append(t)
         self.mass.append(mass)
         self.cumulative_inflow.append(cumulative)
-        self.discrepancy.append(disc)
-        if store is not None:
-            store.add(t, "network", "total", "mass", mass)
-            store.add(t, "network", "total", "cumulative_inflow", cumulative)
-            store.add(t, "network", "total", "discrepancy", disc)
+        self.discrepancy.append(mass - mass0 - cumulative)
 
     def max_abs_discrepancy(self) -> float:
         return max((abs(d) for d in self.discrepancy), default=0.0)
@@ -125,19 +116,24 @@ def l2_norm(field_a, field_b, dx: float) -> float:
 # ---------------------------------------------------------------------------
 # the time march shared by both runners
 
-def _march(now, advance, total_mass, inflow_rate, sample, dt, dt_max,
+LEDGER_KEYS = [("network", "total", name)
+               for name in ("mass", "cumulative_inflow", "discrepancy")]
+
+
+def _march(now, advance, total_mass, inflow_rate, sample, keys, dt, dt_max,
            t_end, cadence, where, writer=None) -> RunResult:
     """Step a run from ``now()`` to ``t_end``, keeping the exact mass
     ledger and sampling on the cadence.
 
     A step count that is not finite is a ``ConfigError``; ``dt`` above the
     stability bound ``dt_max`` is a ``CflViolationError`` naming ``where``.
-    ``advance()`` takes one step and returns what ``sample(store, t, out)``
-    records; the first sample, taken before any step, gets ``out=None``.
-    Each step must change ``total_mass()`` by ``dt * inflow_rate()`` to
-    within 1e-12 of the mass.  Each sample's rows go to ``writer`` as soon
-    as they are recorded; a streamed run's store then holds only the
-    latest sample's rows, since the earlier ones are already on disk.
+    ``advance()`` takes one step; ``sample()`` returns a list of floats,
+    one per ``(entity, id, field)`` of ``keys``, and each sample's rows
+    are those values followed by the ledger's (``LEDGER_KEYS``).  Each step
+    must change ``total_mass()`` by ``dt * inflow_rate()`` to within 1e-12
+    of the mass.  Each sample's rows go to ``writer`` as soon as they are
+    recorded; a streamed run's store then holds only the last sample's
+    rows, since the earlier ones are already on disk.
     """
     t0 = now()
     steps = (t_end - t0) / dt
@@ -149,22 +145,28 @@ def _march(now, advance, total_mass, inflow_rate, sample, dt, dt_max,
         raise CflViolationError(dt, dt_max, where)
     store = TimeSeriesStore()
     ledger = MassLedger()
+    columns = list(zip(*(keys + LEDGER_KEYS)))
     mass0 = prev_mass = total_mass()
     cumulative = 0.0
 
-    def record(out, mass):
-        t = now()
-        if writer is not None:
-            store.rows.clear()
-        sample(store, t, out)
-        ledger.sample(t, mass, cumulative, mass0, store)
-        if writer is not None:
-            writer.write_rows(store.rows)
+    def record(mass):
+        t = float(now())
+        ledger.sample(t, mass, cumulative, mass0)
+        values = sample()
+        values += (float(mass), float(cumulative),
+                   float(ledger.discrepancy[-1]))
+        rows = list(zip(itertools.repeat(t, len(values)), *columns, values,
+                        strict=True))
+        if writer is None:
+            store.rows += rows
+        else:
+            writer.write_rows(rows)
+            store.rows[:] = rows
 
-    record(None, mass0)
+    record(mass0)
     next_sample = t0 + cadence
     for k in range(1, n_steps + 1):
-        out = advance()
+        advance()
         inflow = dt * inflow_rate()
         cumulative += inflow
         mass = total_mass()
@@ -173,11 +175,15 @@ def _march(now, advance, total_mass, inflow_rate, sample, dt, dt_max,
                 f"mass ledger identity broken at step {k} (t={now():g} s)")
         prev_mass = mass
         if now() >= next_sample - 1e-9 * dt:
-            record(out, mass)
+            record(mass)
             next_sample += cadence
     summary = {"steps": n_steps,
                "max_ledger_discrepancy_kg": ledger.max_abs_discrepancy()}
     return RunResult(store=store, summary=summary, ledger=ledger)
+
+
+PIPE_SAMPLE_FIELDS = ("p_left", "p_right", "rho_left", "rho_right",
+                      "phi_left", "phi_right", "v_left", "v_right")
 
 
 def simulate_pipe(geom: PipeGeometry, grid: PipeGrid, eos, state: PipeState,
@@ -190,20 +196,17 @@ def simulate_pipe(geom: PipeGeometry, grid: PipeGrid, eos, state: PipeState,
     def advance():
         pipe_ops.step(state, geom, grid, gas, bc_left, bc_right, dt, "main")
 
-    def sample(store, t, _):
+    def sample():
         v = face_velocity(state)
-        for name, val in (("p_left", gas[0].pressure(state.rho[0])),
-                          ("p_right", gas[-1].pressure(state.rho[-1])),
-                          ("rho_left", state.rho[0]),
-                          ("rho_right", state.rho[-1]),
-                          ("phi_left", state.phi[0]),
-                          ("phi_right", state.phi[-1]),
-                          ("v_left", v[0]), ("v_right", v[-1])):
-            store.add(t, "pipe", "main", name, val)
+        return [float(x) for x in (gas[0].pressure(state.rho[0]),
+                                   gas[-1].pressure(state.rho[-1]),
+                                   state.rho[0], state.rho[-1],
+                                   state.phi[0], state.phi[-1], v[0], v[-1])]
 
     return _march(lambda: state.time, advance,
                   lambda: pipe_ops.total_mass(state, geom, grid),
                   lambda: pipe_ops.boundary_throughput(state, geom), sample,
+                  [("pipe", "main", name) for name in PIPE_SAMPLE_FIELDS],
                   dt, pipe_ops.cfl_max_dt(state, grid, gas), t_end, cadence,
                   "main")
 
@@ -508,6 +511,7 @@ def five_node_network(eos, dx_target: float = 62.5) -> Network:
     return Network(net.nodes, net.edges, eos)
 
 
+NODE_FIELDS = ("pressure", "net_flow")
 PIPE_FIELDS = ("p_in", "p_out", "mflow_in", "mflow_out", "mass")
 
 
@@ -518,19 +522,16 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
     With a ``writer``, each sample's rows stream to it and the result's
     store keeps only the last sample's rows."""
     net.require_states()
+    keys = [("node", n.id, name) for n in net.nodes
+            for name in NODE_FIELDS] + \
+        [("pipe", e.id, name) for e in net.edges for name in PIPE_FIELDS]
 
-    def sample(store, t, records):
-        if records is None:
-            records = node_records(net)
-        for node_id, (p, netflow) in records.items():
-            store.add(t, "node", node_id, "pressure", p)
-            store.add(t, "node", node_id, "net_flow", netflow)
-        for e, values in zip(net.edges, net.pipe_records()):
-            for name, value in zip(PIPE_FIELDS, values):
-                store.add(t, "pipe", e.id, name, value)
+    def sample():
+        return list(itertools.chain.from_iterable(itertools.chain(
+            node_records(net).values(), net.pipe_records())))
 
     result = _march(lambda: net.time, lambda: network_step(net, dt),
-                    net.total_mass, net.boundary_inflow, sample, dt,
+                    net.total_mass, net.boundary_inflow, sample, keys, dt,
                     net.cfl_max_dt(), t_end, cadence, "network", writer)
     result.summary.update(t_end=net.time, total_mass_kg=net.total_mass())
     return result

@@ -146,7 +146,8 @@ class Network:
     states' current values, whenever an edge's ``state``, ``state.rho`` or
     ``state.phi`` is not the object it bound.  The network's ``time`` and
     ``step_index`` are the clock of a network run; the pipe states' own
-    do not advance.
+    do not advance.  The last step's nodal solve is kept for
+    ``node_records`` until the states are bound afresh.
     """
 
     def __init__(self, nodes, edges, eos, time: float = 0.0):
@@ -174,6 +175,7 @@ class Network:
         self._flat = _FlatLayout(self)
         self.rho = self.phi = None
         self._bound = [(_UNBOUND,) * 3] * len(self.edges)
+        self._solve = None
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -218,6 +220,7 @@ class Network:
                        for e in self.edges]
         self._masses = [(w, e.state.rho)
                         for w, e in zip(self._flat.mass_weights, self.edges)]
+        self._solve = None
 
     def _pipe_masses(self) -> list:
         """``S dx sum(rho)`` of every pipe, each a sum over its own slice."""
@@ -449,27 +452,13 @@ def _nodal_phase(net: Network, dt, t_half, t_next):
     return alpha, p
 
 
-def _records(net: Network, alpha, p, report) -> dict:
-    """Node records from the nodal pressures ``p``, the nodes of ``report``
-    taking their first pipe end's boundary-cell pressure pulled back
-    through its boost ratio."""
-    fl = net._flat
-    nodes, ends, gas = report
-    p[nodes] = gas.pressure(net.rho[fl.end_cell[ends]]) / alpha[ends]
-    netflow = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],
-                          len(p))
-    return dict(zip(fl.node_ids, zip(p.tolist(), netflow.tolist())))
+def network_step(net: Network, dt: float) -> None:
+    """Advance the whole network one step.
 
-
-def network_step(net: Network, dt: float) -> dict:
-    """Advance the whole network one step; returns per-node records.
-
-    Each record is ``(pressure, net_inflow)`` where ``net_inflow`` is
-    ``sum_k sgn_k S_k phi_k`` over the node's pipe ends: the withdrawal at
-    demand nodes and the implied (negative of injection) at slack nodes.
     The three phases run over the flat state: the interior faces of every
     pipe (``pipe.face_fluxes``), every pipe end (``_nodal_phase``) and
-    every cell (``pipe.apply_density_update``).
+    every cell (``pipe.apply_density_update``).  The step's boost ratios
+    and nodal pressures stay on the network for ``node_records``.
     """
     net.require_states()
     t_half = net.time + 0.5 * dt
@@ -499,23 +488,36 @@ def network_step(net: Network, dt: float) -> dict:
         raise PositivityError(net.step_index + 1, local, net.edges[k].id)
     net.time = t_next
     net.step_index += 1
-    return _records(net, alpha, p, fl.dead_report)
+    net._solve = alpha, p
 
 
 def node_records(net: Network) -> dict:
     """``(pressure, net_inflow)`` of every node at the current network time,
-    keyed by node id, as ``network_step`` returns them.
+    keyed by node id in node order.
 
-    Before any step has solved them, a slack node reports its prescribed
-    pressure and a demand node its first boundary cell's pressure, pulled
-    back through that end's boost ratio.
+    ``net_inflow`` is ``sum_k sgn_k S_k phi_k`` over the node's pipe ends:
+    the withdrawal at demand nodes and the implied (negative of injection)
+    at slack nodes.  After a step, the pressures are the ones that step
+    solved, a dead end's taken from its boundary cell.  Before any step
+    has solved them (or once the pipe states have been replaced), a slack
+    node reports its prescribed pressure and a demand node its first
+    boundary cell's pressure, pulled back through that end's boost ratio.
     """
     net.require_states()
     fl = net._flat
-    p = np.empty(len(fl.node_ids))
-    p[fl.slack_nodes] = [pressure(net.time)
-                         for pressure in fl.slack_pressures]
-    return _records(net, fl.alphas(net.time), p, fl.demand_report)
+    if net._solve is not None:
+        alpha, p = net._solve
+        nodes, ends, gas = fl.dead_report
+    else:
+        alpha = fl.alphas(net.time)
+        p = np.empty(len(fl.node_ids))
+        p[fl.slack_nodes] = [pressure(net.time)
+                             for pressure in fl.slack_pressures]
+        nodes, ends, gas = fl.demand_report
+    p[nodes] = gas.pressure(net.rho[fl.end_cell[ends]]) / alpha[ends]
+    netflow = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],
+                          len(p))
+    return dict(zip(fl.node_ids, zip(p.tolist(), netflow.tolist())))
 
 
 def cell_count_violation(pipe: str, length: float, dx: float) -> str | None:

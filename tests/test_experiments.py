@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -14,8 +15,11 @@ from gasnetsim.experiments import (MassLedger, l2_error, l2_norm,
                                    run_traveling_wave, simulate_network,
                                    five_node_network)
 from gasnetsim.eos import CngaGas
-from gasnetsim.network import Network
-from gasnetsim.output import SeriesWriter, write_series
+from gasnetsim.network import DemandBC, Network, Node, PipeEdge, SlackBC
+from gasnetsim.output import (CSV_HEADER, SeriesWriter, read_series,
+                              write_series)
+from gasnetsim.pipe import PipeGeometry, PipeGrid, uniform_state
+from gasnetsim.profiles import Constant
 from gasnetsim.steady import solve_steady_state
 
 
@@ -278,6 +282,13 @@ def test_step_clock_sees_every_pipe_step(monkeypatch):
     assert t.size == 31
 
 
+def test_sample_longer_than_its_keys_is_refused(monkeypatch):
+    monkeypatch.setattr(experiments, "PIPE_SAMPLE_FIELDS",
+                        experiments.PIPE_SAMPLE_FIELDS[:-1])
+    with pytest.raises(ValueError):
+        _short_pipe_run()
+
+
 def test_step_clock_sees_every_network_step(monkeypatch):
     # the benchmark clocks network steps by shadowing the runner's
     # network_step name
@@ -306,3 +317,32 @@ def test_streamed_run_writes_the_unstreamed_rows(tmp_path):
     assert streamed.store.rows == [row for row in whole.store.rows
                                    if row[0] == whole.store.rows[-1][0]]
     assert streamed.ledger.times == whole.ledger.times
+
+
+def test_csv_quotes_ids_as_the_csv_module_does(tmp_path):
+    # ids holding a comma, a double quote and a newline
+    ids = ('in,"let"\nA', 'out "B",\n', 'pipe,\n"1"')
+
+    def run(writer=None):
+        eos = CngaGas()
+        grid = PipeGrid(10e3, 10)
+        net = Network([Node(ids[0], SlackBC(Constant(6.5e6))),
+                       Node(ids[1], DemandBC(Constant(50.0)))],
+                      [PipeEdge(ids[2], ids[0], ids[1],
+                                PipeGeometry(10e3, 0.9144, 0.01), grid)], eos)
+        net.edges[0].state = uniform_state(grid, eos.density(6.5e6), 100.0)
+        return simulate_network(net, 1.0, 20.0, 5.0, writer)
+
+    streamed = tmp_path / "run.csv"
+    with SeriesWriter(streamed) as writer:
+        run(writer)
+    whole = run()
+    with open(tmp_path / "plain.csv", "w", newline="") as fh:
+        plain = csv.writer(fh)
+        plain.writerow(CSV_HEADER)
+        for t, entity, entity_id, fieldname, value in whole.store.rows:
+            plain.writerow((repr(t), entity, entity_id, fieldname,
+                            repr(value)))
+    assert streamed.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert {row[2] for row in whole.store.rows} >= set(ids)
+    assert read_series(streamed) == whole.store.rows

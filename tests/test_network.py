@@ -9,7 +9,7 @@ from gasnetsim.errors import (InfeasibleNodeError, PositivityError,
 from gasnetsim.experiments import WAVE_SPEED_REF, five_node_network
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
                                flow_balance_residual, network_step,
-                               nodal_pressure_solve)
+                               nodal_pressure_solve, node_records)
 from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState,
                             PressureBC, interior_flux_update, step,
                             uniform_state)
@@ -177,9 +177,9 @@ class TestNetworkStep:
         sol = solve_steady_state(net)
         sol.populate(net)
         dt = net.cfl_max_dt(0.9)
-        records = None
         for _ in range(1000):
-            records = network_step(net, dt)
+            network_step(net, dt)
+        records = node_records(net)
         for node_id, p0 in sol.node_pressures.items():
             assert records[node_id][0] == pytest.approx(p0, rel=1e-3)
 
@@ -189,7 +189,8 @@ class TestNetworkStep:
                           omega=2 * np.pi / 300.0)
         net, geom, grid = two_node_net(eos, q=100.0, pressure=p_prof)
         for _ in range(50):
-            records = network_step(net, 1.0)
+            network_step(net, 1.0)
+            records = node_records(net)
             assert records["a"][0] == p_prof(net.time)
             p_boundary = eos.pressure(float(net.edges[0].state.rho[0]))
             assert p_boundary == pytest.approx(p_prof(net.time), rel=1e-10)
@@ -316,7 +317,8 @@ class TestFlatStep:
         net = mixed_network()
         dt = 0.5 * net.cfl_max_dt()
         before = states_of(net)
-        records = network_step(net, dt)
+        network_step(net, dt)
+        records = node_records(net)
         t_half, t_next = 0.5 * dt, dt
         for node in net.nodes:
             ends = net.incidence[node.id]
@@ -332,6 +334,38 @@ class TestFlatStep:
                 sum(end.sgn * end.area * float(end.edge.state.phi[end.inner])
                     for end in ends), node.id)
             assert records[node.id][0] == pytest.approx(p, rel=1e-13)
+
+    def test_node_records_report_the_last_solve(self):
+        net = mixed_network()
+
+        def pulled_back(t):
+            # each demand node's first pipe end: its boundary-cell
+            # pressure over its boost ratio
+            return {node.id: float(end.gas.pressure(
+                end.edge.state.rho[end.cell])) / end.ratio(t)
+                for node in net.nodes[1:]
+                for end in net.incidence[node.id][:1]}
+
+        def pressures(records):
+            return {k: p for k, (p, _) in records.items() if k != "a"}
+
+        records = node_records(net)
+        assert records["a"][0] == 5.0e6
+        assert pressures(records) == pytest.approx(pulled_back(0.0),
+                                                   rel=1e-14)
+        dt = 0.5 * net.cfl_max_dt()
+        network_step(net, dt)
+        solved = pressures(node_records(net))
+        # moving the boundary cells moves every pull-back, not the solve
+        net.rho *= 1.01
+        assert pressures(node_records(net)) == solved
+        for node_id, p in pulled_back(dt).items():
+            assert abs(p / solved[node_id] - 1.0) > 5e-3, node_id
+        # states bound afresh have no solve yet
+        e = net.edges[0]
+        e.state = PipeState(e.state.rho.copy(), e.state.phi.copy())
+        assert pressures(node_records(net)) == pytest.approx(
+            pulled_back(dt), rel=1e-14)
 
     def test_non_finite_face_names_pipe_and_local_face(self):
         net = chain_network()

@@ -3,7 +3,8 @@
 Each example builds a quiescent network at uniform pressure, with mixed
 grids and frictions and constant or harmonic withdrawals, and runs it 50
 steps through ``simulate_network`` (which checks the mass ledger every
-step), sampling every step.
+step), sampling every step.  A third run streams its CSV, which must be
+the bytes of the unstreamed run's rows written whole.
 
 Kirchhoff balance is checked at every demand junction after every step to
 1e-12 of the largest term of the node's discrete balance: the ends' mass
@@ -14,12 +15,17 @@ three-node ring at ``S dx rho / dt`` of ~1.5e4 kg/s balances to ~5e-12
 kg/s, above criterion 7's floor of 1e-12 kg/s.
 """
 
+import itertools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gasnetsim.eos import CngaGas
 from gasnetsim.experiments import simulate_network
 from gasnetsim.network import DemandBC, Network, Node, PipeEdge, SlackBC
+from gasnetsim.output import SeriesWriter, write_series
 from gasnetsim.pipe import PipeGeometry, PipeGrid, uniform_state
 from gasnetsim.profiles import Constant, Harmonic
 
@@ -77,10 +83,10 @@ def build(spec):
     return net
 
 
-def run(spec):
+def run(spec, writer=None):
     net = build(spec)
     dt = 0.8 * net.cfl_max_dt()
-    return net, dt, simulate_network(net, dt, STEPS * dt, dt)
+    return net, dt, simulate_network(net, dt, STEPS * dt, dt, writer)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -93,6 +99,9 @@ def test_generated_networks_keep_kirchhoff_and_rerun_bitwise(spec):
         values[t, entity, eid, field] = value
     times = sorted({row[0] for row in result.store.rows})
     assert len(times) == STEPS + 1
+    key_sequences = {tuple(row[1:4] for row in sample) for _, sample in
+                     itertools.groupby(result.store.rows, lambda r: r[0])}
+    assert len(key_sequences) == 1
     for t in times[1:]:
         for node in net.nodes:
             if node.is_slack:
@@ -116,3 +125,10 @@ def test_generated_networks_keep_kirchhoff_and_rerun_bitwise(spec):
     for e, f in zip(net.edges, rerun_net.edges):
         assert np.array_equal(e.state.rho, f.state.rho)
         assert np.array_equal(e.state.phi, f.state.phi)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        streamed, whole = Path(tmp, "streamed.csv"), Path(tmp, "whole.csv")
+        with SeriesWriter(streamed) as writer:
+            run(spec, writer)
+        write_series(result.store.rows, whole)
+        assert streamed.read_bytes() == whole.read_bytes()
