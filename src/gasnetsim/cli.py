@@ -23,6 +23,8 @@ from .errors import ConfigError, SimulationError
 from .output import SeriesWriter, write_series, write_summary
 from .steady import solve_steady_state
 
+DEFAULT_OUT = Path("out")    # the studies' and convergence's directory
+
 
 def _common_flags(parser):
     parser.add_argument("--dt", type=float, default=None,
@@ -32,8 +34,10 @@ def _common_flags(parser):
                         help="target grid spacing in metres")
     parser.add_argument("--t-end", type=float, default=None,
                         help="end time in seconds")
-    parser.add_argument("--out", type=Path, default=Path("out"),
-                        help="output directory (default: out)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="output directory (default: out; 'run': the "
+                             "config's output_path; 'steady' writes a "
+                             "summary only when given)")
     parser.add_argument("--cadence", type=float, default=None,
                         help="output sample spacing in seconds")
     parser.add_argument("--cfl-safety", type=float, default=None,
@@ -111,7 +115,7 @@ def _cmd_run(args):
     dt = args.dt or sim.dt or net.cfl_max_dt(safety)
     t_end = args.t_end or sim.t_end
     cadence = args.cadence or sim.output_cadence
-    out_dir = args.out if args.out != Path("out") else Path(sim.output_path)
+    out_dir = args.out or Path(sim.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     with SeriesWriter(out_dir / "run.csv") as writer:
         result = experiments.simulate_network(net, dt, t_end, cadence,
@@ -140,7 +144,7 @@ def _cmd_steady(args):
         p_in, p_out = steady.pipe_end_pressures[pipe_id]
         print(f"pipe {pipe_id}: flow {m:.6g} kg/s, inlet {p_in:.6g} Pa, "
               f"outlet {p_out:.6g} Pa")
-    if args.out != Path("out"):
+    if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         write_summary({**steady.to_dict(), "config_sha": config_sha(cfg)},
                       args.out / "steady_summary.json")
@@ -150,10 +154,11 @@ def _cmd_steady(args):
 def _cmd_convergence(args):
     started = _time.monotonic()
     report = experiments.run_convergence_study()
-    args.out.mkdir(parents=True, exist_ok=True)
+    out_dir = args.out or DEFAULT_OUT
+    out_dir.mkdir(parents=True, exist_ok=True)
     doc = report.to_dict()
     doc["wall_seconds"] = _time.monotonic() - started
-    path = args.out / "convergence.json"
+    path = out_dir / "convergence.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -206,8 +211,8 @@ def _cmd_study(args):
                   cfl_safety=args.cfl_safety or 0.9)
     kwargs.update(scale)
     result = study.run(**kwargs)
-    return _finish(result, study.stem.format(**vars(args)), args.out,
-                   started, params)
+    return _finish(result, study.stem.format(**vars(args)),
+                   args.out or DEFAULT_OUT, started, params)
 
 
 def _flag_violations(args) -> list[str]:

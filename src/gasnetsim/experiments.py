@@ -20,7 +20,7 @@ from . import pipe as pipe_ops
 from .config import build_network, load_config
 from .eos import CngaGas, IdealGas, NonIsothermalCnga, TemperatureProfile
 from .errors import CflViolationError, ConfigError, SimulationError
-from .network import Network, grid_for_length, network_step, node_records
+from .network import Network, grid_for_length, network_step, node_arrays
 from .pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState, PressureBC,
                    face_velocity, uniform_state)
 from .profiles import Constant, Harmonic, StepSequence
@@ -131,9 +131,10 @@ def _march(now, advance, total_mass, inflow_rate, sample, keys, dt, dt_max,
     one per ``(entity, id, field)`` of ``keys``, and each sample's rows
     are those values followed by the ledger's (``LEDGER_KEYS``).  Each step
     must change ``total_mass()`` by ``dt * inflow_rate()`` to within 1e-12
-    of the mass.  Each sample's rows go to ``writer`` as soon as they are
-    recorded; a streamed run's store then holds only the last sample's
-    rows, since the earlier ones are already on disk.
+    of the mass; ``total_mass()`` is called after each step and before
+    that step's sample.  Each sample goes to ``writer.write_sample`` as
+    soon as it is taken; a streamed run's store then holds only the last
+    sample's rows, since the earlier ones are already on disk.
     """
     t0 = now()
     steps = (t_end - t0) / dt
@@ -145,23 +146,28 @@ def _march(now, advance, total_mass, inflow_rate, sample, keys, dt, dt_max,
         raise CflViolationError(dt, dt_max, where)
     store = TimeSeriesStore()
     ledger = MassLedger()
-    columns = list(zip(*(keys + LEDGER_KEYS)))
+    keys = keys + LEDGER_KEYS
+    columns = list(zip(*keys))
     mass0 = prev_mass = total_mass()
     cumulative = 0.0
+    last = None
+
+    def rows(t, values):
+        return list(zip(itertools.repeat(t, len(values)), *columns, values,
+                        strict=True))
 
     def record(mass):
+        nonlocal last
         t = float(now())
         ledger.sample(t, mass, cumulative, mass0)
         values = sample()
         values += (float(mass), float(cumulative),
                    float(ledger.discrepancy[-1]))
-        rows = list(zip(itertools.repeat(t, len(values)), *columns, values,
-                        strict=True))
         if writer is None:
-            store.rows += rows
+            store.rows += rows(t, values)
         else:
-            writer.write_rows(rows)
-            store.rows[:] = rows
+            writer.write_sample(t, keys, values)
+            last = t, values
 
     record(mass0)
     next_sample = t0 + cadence
@@ -177,6 +183,8 @@ def _march(now, advance, total_mass, inflow_rate, sample, keys, dt, dt_max,
         if now() >= next_sample - 1e-9 * dt:
             record(mass)
             next_sample += cadence
+    if writer is not None:
+        store.rows = rows(*last)
     summary = {"steps": n_steps,
                "max_ledger_discrepancy_kg": ledger.max_abs_discrepancy()}
     return RunResult(store=store, summary=summary, ledger=ledger)
@@ -526,12 +534,20 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
             for name in NODE_FIELDS] + \
         [("pipe", e.id, name) for e in net.edges for name in PIPE_FIELDS]
 
+    masses = None
+
+    def total_mass():
+        # the sample that follows reads these masses, not a second sum
+        nonlocal masses
+        masses = net.pipe_masses()
+        return sum(masses)
+
     def sample():
-        return list(itertools.chain.from_iterable(itertools.chain(
-            node_records(net).values(), net.pipe_records())))
+        return np.concatenate((np.column_stack(node_arrays(net)).ravel(),
+                               net.pipe_records(masses).ravel())).tolist()
 
     result = _march(lambda: net.time, lambda: network_step(net, dt),
-                    net.total_mass, net.boundary_inflow, sample, keys, dt,
+                    total_mass, net.boundary_inflow, sample, keys, dt,
                     net.cfl_max_dt(), t_end, cadence, "network", writer)
     result.summary.update(t_end=net.time, total_mass_kg=net.total_mass())
     return result

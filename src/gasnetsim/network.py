@@ -147,7 +147,7 @@ class Network:
     ``state.phi`` is not the object it bound.  The network's ``time`` and
     ``step_index`` are the clock of a network run; the pipe states' own
     do not advance.  The last step's nodal solve is kept for
-    ``node_records`` until the states are bound afresh.
+    ``node_arrays`` until the states are bound afresh.
     """
 
     def __init__(self, nodes, edges, eos, time: float = 0.0):
@@ -222,14 +222,15 @@ class Network:
                         for w, e in zip(self._flat.mass_weights, self.edges)]
         self._solve = None
 
-    def _pipe_masses(self) -> list:
-        """``S dx sum(rho)`` of every pipe, each a sum over its own slice."""
+    def pipe_masses(self) -> list:
+        """``S dx sum(rho)`` of every pipe in edge order, each a sum over
+        its own slice."""
+        self.require_states()
         add = np.add.reduce
         return [w * float(add(rho)) for w, rho in self._masses]
 
     def total_mass(self) -> float:
-        self.require_states()
-        return sum(self._pipe_masses())
+        return sum(self.pipe_masses())
 
     def boundary_inflow(self) -> float:
         """Net mass inflow rate summed pipe-locally, S (phi_0 - phi_N)."""
@@ -238,16 +239,16 @@ class Network:
         return sum((fl.pipe_area * (phi[fl.first_face] -
                                     phi[fl.last_face])).tolist())
 
-    def pipe_records(self) -> list:
-        """``(p_in, p_out, mflow_in, mflow_out, mass)`` of every pipe, in
-        edge order."""
+    def pipe_records(self, masses) -> np.ndarray:
+        """``(p_in, p_out, mflow_in, mflow_out, mass)`` of every pipe, one
+        row per pipe in edge order; ``masses`` are the current state's
+        ``pipe_masses()``, taken as given."""
         self.require_states()
         fl, rho, phi = self._flat, self.rho, self.phi
-        return list(zip(fl.inlet_gas.pressure(rho[fl.first_cell]).tolist(),
-                        fl.outlet_gas.pressure(rho[fl.last_cell]).tolist(),
-                        (fl.pipe_area * phi[fl.first_face]).tolist(),
-                        (fl.pipe_area * phi[fl.last_face]).tolist(),
-                        self._pipe_masses()))
+        return np.column_stack((fl.inlet_gas.pressure(rho[fl.first_cell]),
+                                fl.outlet_gas.pressure(rho[fl.last_cell]),
+                                fl.pipe_area * phi[fl.first_face],
+                                fl.pipe_area * phi[fl.last_face], masses))
 
     def cfl_max_dt(self, safety: float = 1.0) -> float:
         return min(pipe_ops.cfl_max_dt(e.state, e.grid, e.gas, safety)
@@ -458,7 +459,7 @@ def network_step(net: Network, dt: float) -> None:
     The three phases run over the flat state: the interior faces of every
     pipe (``pipe.face_fluxes``), every pipe end (``_nodal_phase``) and
     every cell (``pipe.apply_density_update``).  The step's boost ratios
-    and nodal pressures stay on the network for ``node_records``.
+    and nodal pressures stay on the network for ``node_arrays``.
     """
     net.require_states()
     t_half = net.time + 0.5 * dt
@@ -493,7 +494,14 @@ def network_step(net: Network, dt: float) -> None:
 
 def node_records(net: Network) -> dict:
     """``(pressure, net_inflow)`` of every node at the current network time,
-    keyed by node id in node order.
+    keyed by node id in node order; see ``node_arrays``."""
+    p, netflow = node_arrays(net)
+    return dict(zip(net._flat.node_ids, zip(p.tolist(), netflow.tolist())))
+
+
+def node_arrays(net: Network) -> tuple:
+    """The nodal pressures and net inflows at the current network time,
+    as two arrays in node order.
 
     ``net_inflow`` is ``sum_k sgn_k S_k phi_k`` over the node's pipe ends:
     the withdrawal at demand nodes and the implied (negative of injection)
@@ -517,7 +525,7 @@ def node_records(net: Network) -> dict:
     p[nodes] = gas.pressure(net.rho[fl.end_cell[ends]]) / alpha[ends]
     netflow = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],
                           len(p))
-    return dict(zip(fl.node_ids, zip(p.tolist(), netflow.tolist())))
+    return p, netflow
 
 
 def cell_count_violation(pipe: str, length: float, dx: float) -> str | None:

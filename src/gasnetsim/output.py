@@ -24,31 +24,58 @@ class _KeyText(dict):
 
 
 class SeriesWriter:
-    """Incremental CSV writer; flushes after every batch so partial output
-    survives interruption.  The file is created by the first batch, so a
+    """Incremental CSV writer; flushes after every sample so partial output
+    survives interruption.  The file is created by the first write, so a
     run refused before its first sample leaves none behind.
 
     Rows come out as ``csv.writer`` writes ``(repr(t), entity, id, field,
     repr(value))``.  Each key's quoted text is made once, by ``csv.writer``
-    itself, and each run of rows with equal ``t`` (a sample) is formatted
-    and written with one call, so a long batch is never held as text whole.
+    itself, the texts of a key list are joined once per list and ``t`` is
+    formatted once per sample.
     """
 
     def __init__(self, path):
         self.path = path
         self._fh = None
         self._keys = _KeyText()
+        self._sample_keys = self._texts = None
 
-    def write_rows(self, rows):
+    def _file(self):
         if self._fh is None:
             self._fh = open(self.path, "w", newline="")
             csv.writer(self._fh).writerow(CSV_HEADER)
-        keys, write = self._keys, self._fh.write
+        return self._fh
+
+    def write_sample(self, t, keys, values):
+        """Write one sample: a row at time ``t`` for each ``(entity, id,
+        field)`` of ``keys`` and its value in ``values``, in order.
+
+        ``keys`` is read once per list object, so a caller passing the same
+        list again must not have changed it.  A sample whose length differs
+        from its keys raises ``ValueError`` before anything is written.
+        """
+        if keys is not self._sample_keys:
+            self._texts = [self._keys[key] for key in keys]
+            self._sample_keys = keys
+        texts = self._texts
+        if len(values) != len(texts):
+            raise ValueError(f"a sample of {len(values)} values for "
+                             f"{len(texts)} keys")
+        fh = self._file()
+        t_text = repr(float(t))
+        fh.write(t_text + (LINE_END + t_text).join(
+            [f"{key}{float(v)!r}" for key, v in zip(texts, values)]) +
+            LINE_END)
+        fh.flush()
+
+    def write_rows(self, rows):
+        """Write ``(t, entity, id, field, value)`` rows, each run of rows
+        with equal ``t`` as one sample."""
+        self._file()
         for t, sample in itertools.groupby(rows, operator.itemgetter(0)):
-            t_text = repr(float(t))
-            write("".join([f"{t_text}{keys[e, i, f]}{float(v)!r}{LINE_END}"
-                           for _, e, i, f, v in sample]))
-        self._fh.flush()
+            sample = list(sample)
+            self.write_sample(t, [row[1:4] for row in sample],
+                              [row[4] for row in sample])
 
     def close(self):
         if self._fh is not None:

@@ -425,3 +425,21 @@ def test_unexpected_exception_is_one_internal_error_line(five_node_path,
     assert main(["validate", str(five_node_path)]) == 2
     err = capfd.readouterr().err
     assert err == "error: internal_error: KeyError: 'boom'\n"
+
+
+@pytest.mark.parametrize("command, written, absent", [
+    (["steady", "--out", "out"], "out/steady_summary.json", "results"),
+    (["steady"], None, "out"),
+    (["run", "--out", "out"], "out/run.csv", "results"),
+    (["run"], "results/run.csv", "out"),
+], ids=["steady-out", "steady", "run-out", "run"])
+def test_out_given_as_its_default_name_is_honoured(command, written, absent,
+                                                   tmp_path, monkeypatch):
+    doc = minimal_doc()
+    doc["simulation"]["output_path"] = "results"
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "net.json", *command[1:]]) == 0
+    if written is not None:
+        assert (tmp_path / written).is_file()
+    assert not (tmp_path / absent).exists()

@@ -282,11 +282,28 @@ def test_step_clock_sees_every_pipe_step(monkeypatch):
     assert t.size == 31
 
 
-def test_sample_longer_than_its_keys_is_refused(monkeypatch):
-    monkeypatch.setattr(experiments, "PIPE_SAMPLE_FIELDS",
-                        experiments.PIPE_SAMPLE_FIELDS[:-1])
+def _streamed_network_run(path):
+    with SeriesWriter(path) as writer:
+        net = five_node_network(CngaGas(), dx_target=4000.0)
+        solve_steady_state(net).populate(net)
+        simulate_network(net, net.cfl_max_dt(0.9), 120.0, 60.0, writer)
+
+
+@pytest.mark.parametrize("fields, owner, step, run", [
+    ("PIPE_SAMPLE_FIELDS", pipe_ops, "step", lambda path: _short_pipe_run()),
+    ("PIPE_FIELDS", experiments, "network_step", _streamed_network_run),
+], ids=["pipe", "streamed-network"])
+def test_sample_longer_than_its_keys_is_refused(monkeypatch, tmp_path,
+                                                fields, owner, step, run):
+    monkeypatch.setattr(experiments, fields,
+                        getattr(experiments, fields)[:-1])
+    steps = _counted(monkeypatch, owner, step)
+    path = tmp_path / "run.csv"
     with pytest.raises(ValueError):
-        _short_pipe_run()
+        run(path)
+    # refused at the first sample, which precedes the first step
+    assert steps == []
+    assert not path.exists()
 
 
 def test_step_clock_sees_every_network_step(monkeypatch):
@@ -343,6 +360,8 @@ def test_csv_quotes_ids_as_the_csv_module_does(tmp_path):
         for t, entity, entity_id, fieldname, value in whole.store.rows:
             plain.writerow((repr(t), entity, entity_id, fieldname,
                             repr(value)))
-    assert streamed.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    write_series(whole.store.rows, tmp_path / "whole.csv")
+    for written in (streamed, tmp_path / "whole.csv"):
+        assert written.read_bytes() == (tmp_path / "plain.csv").read_bytes()
     assert {row[2] for row in whole.store.rows} >= set(ids)
     assert read_series(streamed) == whole.store.rows

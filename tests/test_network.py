@@ -6,10 +6,12 @@ from gasnetsim.eos import (CngaGas, IdealGas, NonIsothermalCnga,
                            TemperatureProfile)
 from gasnetsim.errors import (InfeasibleNodeError, PositivityError,
                               SimulationError, UnstableRunError)
-from gasnetsim.experiments import WAVE_SPEED_REF, five_node_network
+from gasnetsim.experiments import (WAVE_SPEED_REF, five_node_network,
+                                   simulate_network)
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
                                flow_balance_residual, network_step,
                                nodal_pressure_solve, node_records)
+from gasnetsim.output import SeriesWriter
 from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState,
                             PressureBC, interior_flux_update, step,
                             uniform_state)
@@ -366,6 +368,18 @@ class TestFlatStep:
         e.state = PipeState(e.state.rho.copy(), e.state.phi.copy())
         assert pressures(node_records(net)) == pytest.approx(
             pulled_back(dt), rel=1e-14)
+
+    def test_sampled_pipe_masses_are_their_own_steps(self, tmp_path):
+        net = mixed_network()
+        dt = 0.5 * net.cfl_max_dt()
+        with SeriesWriter(tmp_path / "run.csv") as writer:
+            res = simulate_network(net, dt, 4 * dt, dt, writer)
+        assert {row[0] for row in res.store.rows} == {net.time}
+        values = {(e, i, f): v for _, e, i, f, v in res.store.rows}
+        masses = [values["pipe", e.id, "mass"] for e in net.edges]
+        assert masses == [pipe_ops.total_mass(e.state, e.geometry, e.grid)
+                          for e in net.edges]
+        assert sum(masses) == values["network", "total", "mass"]
 
     def test_non_finite_face_names_pipe_and_local_face(self):
         net = chain_network()
