@@ -1,16 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration/validation failure or an output
-path that cannot be written, 2 numerical failure (stability, positivity,
-infeasible node, steady solve) or any other internal error.  Failures
-print one machine-parsable line ``error: <reason>: <detail>`` on stderr,
-never a traceback.
+Exit codes: 0 success, 1 configuration/validation failure (a malformed
+command line included) or an output path that cannot be written, 2
+numerical failure (stability, positivity, infeasible node, steady solve)
+or any other internal error.  Failures print one machine-parsable line
+``error: <reason>: <detail>`` on stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import inspect
 import math
 import sys
 import time as _time
@@ -25,78 +25,51 @@ from .steady import solve_steady_state
 
 DEFAULT_OUT = Path("out")    # the studies' and convergence's directory
 
+# every flag's argparse definition; each subcommand takes those it reads
+_FLAGS = {
+    "config": dict(type=Path, help="network config JSON file"),
+    "--eos": dict(choices=("ideal", "cnga"), help="equation of state"),
+    "--periods": dict(type=int, help="number of 12 h pressure periods"),
+    "--rate": dict(type=float,
+                   help="temperature decay rate in 1/m (1e-3 or 1e-4)"),
+    "--dt": dict(type=float, help="time step in seconds (default: scenario "
+                                  "value or stability-limited)"),
+    "--dx": dict(type=float, help="target grid spacing in metres"),
+    "--t-end": dict(type=float, help="end time in seconds"),
+    "--out": dict(type=Path, help="output directory (default: out; 'run': "
+                                  "the config's output_path; 'steady' writes "
+                                  "a summary only when given)"),
+    "--cadence": dict(type=float, help="output sample spacing in seconds"),
+    "--cfl-safety": dict(type=float, help="stability safety factor "
+                                          "(default 0.9, or the config value "
+                                          "for 'run')"),
+    "--strict": dict(action="store_true", help="reject unknown config keys "
+                                               "and report profile clamping"),
+}
+_RUN_FLAGS = ("--dt", "--dx", "--t-end", "--out", "--cadence", "--cfl-safety")
 
-def _common_flags(parser):
-    parser.add_argument("--dt", type=float, default=None,
-                        help="time step in seconds (default: scenario value "
-                             "or stability-limited)")
-    parser.add_argument("--dx", type=float, default=None,
-                        help="target grid spacing in metres")
-    parser.add_argument("--t-end", type=float, default=None,
-                        help="end time in seconds")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output directory (default: out; 'run': the "
-                             "config's output_path; 'steady' writes a "
-                             "summary only when given)")
-    parser.add_argument("--cadence", type=float, default=None,
-                        help="output sample spacing in seconds")
-    parser.add_argument("--cfl-safety", type=float, default=None,
-                        help="stability safety factor (default 0.9, or the "
-                             "config value for 'run')")
-    parser.add_argument("--strict", action="store_true",
-                        help="reject unknown config keys and report profile "
-                             "clamping")
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A malformed command line is a validation failure (exit 1)."""
+        raise ConfigError([message])
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gasnetsim",
-        description="Explicit staggered-grid transient simulator for "
-                    "natural-gas pipeline networks")
+    parser = _Parser(prog="gasnetsim",
+                     description="Explicit staggered-grid transient "
+                                 "simulator for natural-gas pipeline networks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="simulate a network config")
-    p.add_argument("config", type=Path)
-    _common_flags(p)
-
-    p = sub.add_parser("validate", help="validate a network config")
-    p.add_argument("config", type=Path)
-    _common_flags(p)
-
-    p = sub.add_parser("steady", help="solve and print the steady state of "
-                                      "a network config")
-    p.add_argument("config", type=Path)
-    _common_flags(p)
-
-    p = sub.add_parser("convergence", help="grid-refinement order study")
-    _common_flags(p)
-
-    p = sub.add_parser("fast-transient", help="outlet flux step study")
-    p.add_argument("--eos", choices=("ideal", "cnga"), default="cnga")
-    _common_flags(p)
-
-    p = sub.add_parser("slow-transient", help="slow harmonic pressure study")
-    p.add_argument("--eos", choices=("ideal", "cnga"), default="cnga")
-    p.add_argument("--periods", type=int, default=50)
-    _common_flags(p)
-
-    p = sub.add_parser("temperature", help="inlet temperature spike study")
-    p.add_argument("--rate", type=float, default=1e-3,
-                   help="temperature decay rate in 1/m (1e-3 or 1e-4)")
-    _common_flags(p)
-
-    p = sub.add_parser("five-node", help="five-node network study")
-    p.add_argument("--eos", choices=("ideal", "cnga"), default="cnga")
-    _common_flags(p)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def _finish(result, name, out_dir, started, params):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_series(result.store.rows, out_dir / f"{name}.csv")
-    summary = dict(result.summary)
-    summary["config_sha"] = config_sha(params)
-    summary["wall_seconds"] = _time.monotonic() - started
+def _summarise(result, sha, started, out_dir, name):
+    summary = {**result.summary, "config_sha": sha,
+               "wall_seconds": _time.monotonic() - started}
     write_summary(summary, out_dir / f"{name}_summary.json")
     print(f"wrote {out_dir / (name + '.csv')}")
     return 0
@@ -120,12 +93,7 @@ def _cmd_run(args):
     with SeriesWriter(out_dir / "run.csv") as writer:
         result = experiments.simulate_network(net, dt, t_end, cadence,
                                               writer=writer)
-    summary = dict(result.summary)
-    summary["config_sha"] = config_sha(cfg)
-    summary["wall_seconds"] = _time.monotonic() - started
-    write_summary(summary, out_dir / "run_summary.json")
-    print(f"wrote {out_dir / 'run.csv'}")
-    return 0
+    return _summarise(result, config_sha(cfg), started, out_dir, "run")
 
 
 def _cmd_check_config(args):
@@ -156,12 +124,9 @@ def _cmd_convergence(args):
     report = experiments.run_convergence_study()
     out_dir = args.out or DEFAULT_OUT
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = report.to_dict()
-    doc["wall_seconds"] = _time.monotonic() - started
     path = out_dir / "convergence.json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_summary({**report.to_dict(),
+                   "wall_seconds": _time.monotonic() - started}, path)
     print(f"{'variable':10s} {'last_two':>9s} {'endpoint':>9s}")
     for var in ("rho", "p", "phi"):
         r = report.rates[var]
@@ -171,48 +136,47 @@ def _cmd_convergence(args):
 
 
 class _Study(NamedTuple):
-    run: Callable           # the experiment function
+    run: Callable           # the experiment; its defaults are the study's
     stem: str               # output file stem, formatted with the flags
-    flags: dict             # subcommand flag -> experiment argument
-    scale: dict             # scale argument -> default, hashed into params
-    cadence: float          # default output sample spacing
+    flags: dict             # subcommand flag -> its experiment argument
+    params: tuple           # flags and arguments hashed into config_sha
 
 
 _STUDIES = {
     "fast-transient": _Study(experiments.run_fast_transient,
                              "fast_transient_{eos}", {"eos": "eos_kind"},
-                             {"dx": 100.0, "t_end": 3600.0}, 10.0),
+                             ("eos", "dx", "t_end")),
     "slow-transient": _Study(experiments.run_slow_transient,
                              "slow_transient_{eos}",
                              {"eos": "eos_kind", "periods": "n_periods"},
-                             {"dx": 500.0}, 300.0),
+                             ("eos", "periods", "dx")),
     "temperature": _Study(experiments.run_temperature_effect,
                           "temperature_{rate:g}", {"rate": "decay_rate"},
-                          {"dx": 200.0, "t_end": 16 * 3600.0}, 60.0),
+                          ("rate", "dx", "t_end")),
     "five-node": _Study(experiments.run_five_node_network, "five_node_{eos}",
-                        {"eos": "eos_kind"},
-                        {"dx_target": 62.5, "t_end": 86400.0, "dt": 0.125},
-                        60.0),
+                        {"eos": "eos_kind", "dx": "dx_target"},
+                        ("eos", "dx_target", "t_end", "dt")),
 }
 
 
 def _cmd_study(args):
     started = _time.monotonic()
     study = _STUDIES[args.command]
-    # the flag behind each scale argument; five-node names its grid dx_target
-    given = {"dx": args.dx, "dx_target": args.dx, "t_end": args.t_end,
-             "dt": args.dt}
-    scale = {key: given[key] or default
-             for key, default in study.scale.items()}
+    kwargs = {name: param.default for name, param
+              in inspect.signature(study.run).parameters.items()}
+    kwargs.update({study.flags.get(flag, flag): value
+                   for flag, value in vars(args).items()
+                   if value is not None and flag not in ("command", "out")})
+    named = {**kwargs, **{flag: kwargs[arg]
+                          for flag, arg in study.flags.items()}}
     params = {"experiment": args.command,
-              **{flag: getattr(args, flag) for flag in study.flags}, **scale}
-    kwargs = {arg: getattr(args, flag) for flag, arg in study.flags.items()}
-    kwargs.update(dt=args.dt, cadence=args.cadence or study.cadence,
-                  cfl_safety=args.cfl_safety or 0.9)
-    kwargs.update(scale)
+              **{key: named[key] for key in study.params}}
     result = study.run(**kwargs)
-    return _finish(result, study.stem.format(**vars(args)),
-                   args.out or DEFAULT_OUT, started, params)
+    out_dir = args.out or DEFAULT_OUT
+    out_dir.mkdir(parents=True, exist_ok=True)
+    name = study.stem.format(**named)
+    write_series(result.store.rows, out_dir / f"{name}.csv")
+    return _summarise(result, config_sha(params), started, out_dir, name)
 
 
 def _flag_violations(args) -> list[str]:
@@ -222,27 +186,47 @@ def _flag_violations(args) -> list[str]:
                 for name in ("dt", "dx", "t_end", "cadence", "rate", "periods")
                 if getattr(args, name, None) is not None and
                 not 0 < getattr(args, name) < math.inf]
-    if args.cfl_safety is not None and not 0 < args.cfl_safety <= 1:
+    safety = getattr(args, "cfl_safety", None)
+    if safety is not None and not 0 < safety <= 1:
         problems.append("--cfl-safety must be in (0, 1]")
     return problems
 
 
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    flags: tuple            # the _FLAGS the handler reads
+
+
 _COMMANDS = {
-    "run": _cmd_run,
-    "validate": _cmd_check_config,
-    "steady": _cmd_steady,
-    "convergence": _cmd_convergence,
-    **dict.fromkeys(_STUDIES, _cmd_study),
+    "run": _Command("simulate a network config", _cmd_run,
+                    ("config", *_RUN_FLAGS, "--strict")),
+    "validate": _Command("validate a network config", _cmd_check_config,
+                         ("config", "--strict")),
+    "steady": _Command("solve and print the steady state of a network "
+                       "config", _cmd_steady,
+                       ("config", "--dx", "--out", "--strict")),
+    "convergence": _Command("grid-refinement order study", _cmd_convergence,
+                            ("--out",)),
+    "fast-transient": _Command("outlet flux step study", _cmd_study,
+                               ("--eos", *_RUN_FLAGS)),
+    "slow-transient": _Command("slow harmonic pressure study", _cmd_study,
+                               ("--eos", "--periods", "--dt", "--dx", "--out",
+                                "--cadence", "--cfl-safety")),
+    "temperature": _Command("inlet temperature spike study", _cmd_study,
+                            ("--rate", *_RUN_FLAGS)),
+    "five-node": _Command("five-node network study", _cmd_study,
+                          ("--eos", *_RUN_FLAGS)),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         problems = _flag_violations(args)
         if problems:
             raise ConfigError(problems)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].handler(args)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"error: validation: {violation}", file=sys.stderr)

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import warnings
 from importlib import resources
@@ -10,6 +12,7 @@ from gasnetsim.cli import main
 from gasnetsim.config import (build_network, config_sha, load_config,
                               parse_config, save_config)
 from gasnetsim.errors import ConfigError
+from gasnetsim.experiments import MassLedger, RunResult, TimeSeriesStore
 from gasnetsim.output import CSV_HEADER, read_series, write_series
 
 
@@ -443,3 +446,125 @@ def test_out_given_as_its_default_name_is_honoured(command, written, absent,
     if written is not None:
         assert (tmp_path / written).is_file()
     assert not (tmp_path / absent).exists()
+
+
+# each subcommand at a cheap scale, and the flags its handler does not read
+DROPPED_FLAGS = {
+    ("validate", "{config}"): ("--dt", "--dx", "--t-end", "--out",
+                               "--cadence", "--cfl-safety"),
+    ("steady", "{config}", "--dx", "4000"): ("--dt", "--t-end", "--cadence",
+                                             "--cfl-safety"),
+    ("convergence", "--out", "{out}"): ("--dt", "--dx", "--t-end",
+                                        "--cadence", "--cfl-safety",
+                                        "--strict"),
+    ("fast-transient", "--dx", "2000", "--t-end", "60", "--out", "{out}"):
+        ("--strict",),
+    ("slow-transient", "--dx", "10000", "--periods", "1", "--out", "{out}"):
+        ("--t-end", "--strict"),
+    ("temperature", "--dx", "5000", "--t-end", "60", "--out", "{out}"):
+        ("--strict",),
+    ("five-node", "--dx", "4000", "--t-end", "60", "--out", "{out}"):
+        ("--strict",),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(argv, flag) for argv, flags in DROPPED_FLAGS.items() for flag in flags],
+    ids=[f"{argv[0]} {flag}" for argv, flags in DROPPED_FLAGS.items()
+         for flag in flags])
+def test_flag_the_handler_does_not_read_is_rejected(argv, flag,
+                                                    five_node_path,
+                                                    tmp_path, capfd):
+    extra = [flag] if flag == "--strict" else [flag, "5"]
+    argv = [a.format(config=five_node_path, out=tmp_path) for a in argv]
+    assert main(argv + extra) == 1
+    err = capfd.readouterr().err
+    assert err == ("error: validation: unrecognized arguments: "
+                   f"{' '.join(extra)}\n")
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["run", "{config}", "--dt", "abc"], "--dt"),
+    ([], "command"),
+], ids=["non-numeric", "no-subcommand"])
+def test_malformed_command_line_exits_1(argv, detail, five_node_path, capfd):
+    assert main([a.format(config=five_node_path) for a in argv]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: validation: ") and err.count("\n") == 1
+    assert detail in err and "usage:" not in err
+
+
+def test_help_exits_0_and_lists_only_the_handler_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["five-node", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--dx" in out and "--strict" not in out
+
+
+def _record(monkeypatch, name, calls):
+    """Replace a study's experiment by a recorder of its keyword arguments;
+    return the experiment."""
+    study = cli._STUDIES[name]
+
+    @functools.wraps(study.run)     # keeps the signature the defaults live in
+    def record(**kwargs):
+        calls.append(kwargs)
+        return RunResult(TimeSeriesStore(), {}, MassLedger())
+
+    monkeypatch.setitem(cli._STUDIES, name, study._replace(run=record))
+    return study.run
+
+
+# each study's output stem and hashed params when no flag is given
+STUDY_DEFAULTS = {
+    "fast-transient": ("fast_transient_cnga",
+                       {"eos": "cnga", "dx": 100.0, "t_end": 3600.0}),
+    "slow-transient": ("slow_transient_cnga",
+                       {"eos": "cnga", "periods": 50, "dx": 500.0}),
+    "temperature": ("temperature_0.001",
+                    {"rate": 1e-3, "dx": 200.0, "t_end": 57600.0}),
+    "five-node": ("five_node_cnga", {"eos": "cnga", "dx_target": 62.5,
+                                     "t_end": 86400.0, "dt": 0.125}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_DEFAULTS))
+def test_study_defaults_are_the_experiment_defaults(name, monkeypatch,
+                                                    tmp_path):
+    calls = []
+    run = _record(monkeypatch, name, calls)
+    assert main([name, "--out", str(tmp_path)]) == 0
+    assert calls == [{arg: p.default for arg, p
+                      in inspect.signature(run).parameters.items()}]
+    stem, params = STUDY_DEFAULTS[name]
+    summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+    assert summary["config_sha"] == config_sha({"experiment": name,
+                                                **params})
+
+
+# a value for every study flag, and the experiment argument it sets
+FLAG_VALUES = {"--eos": ("ideal", "eos_kind"), "--periods": (2, "n_periods"),
+               "--rate": (1e-4, "decay_rate"), "--dt": (0.25, "dt"),
+               "--dx": (3000.0, "dx"), "--t-end": (120.0, "t_end"),
+               "--cadence": (30.0, "cadence"),
+               "--cfl-safety": (0.5, "cfl_safety")}
+
+
+@pytest.mark.parametrize("name", sorted(cli._STUDIES))
+def test_every_study_flag_reaches_the_experiment(name, monkeypatch,
+                                                 tmp_path):
+    calls = []
+    run = _record(monkeypatch, name, calls)
+    flags = [f for f in cli._COMMANDS[name].flags if f != "--out"]
+    argv = [name, "--out", str(tmp_path)]
+    expected = {arg: p.default for arg, p
+                in inspect.signature(run).parameters.items()}
+    for flag in flags:
+        value, arg = FLAG_VALUES[flag]
+        argv += [flag, str(value)]
+        expected["dx_target" if (name, arg) == ("five-node", "dx")
+                 else arg] = value
+    assert main(argv) == 0
+    assert calls == [expected]
