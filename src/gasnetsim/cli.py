@@ -40,9 +40,10 @@ _FLAGS = {
                                   "the config's output_path; 'steady' writes "
                                   "a summary only when given)"),
     "--cadence": dict(type=float, help="output sample spacing in seconds"),
-    "--cfl-safety": dict(type=float, help="stability safety factor "
-                                          "(default 0.9, or the config value "
-                                          "for 'run')"),
+    "--cfl-safety": dict(type=float, help="stability safety factor that "
+                                          "sizes an unset step (default "
+                                          "0.9, or the config value for "
+                                          "'run')"),
     "--strict": dict(action="store_true", help="reject unknown config keys "
                                                "and report profile clamping"),
 }
@@ -81,6 +82,9 @@ def _cmd_run(args):
     if cfg.simulation is None:
         raise ConfigError(["simulation section is required for 'run'"])
     sim = cfg.simulation
+    if args.cfl_safety is not None and args.dt is None and sim.dt:
+        raise ConfigError(["--cfl-safety sizes no step: the config sets "
+                           "simulation.dt"])
     net = build_network(cfg, dx_target=args.dx, strict=args.strict)
     steady = solve_steady_state(net, t0=0.0)
     steady.populate(net, t0=0.0)
@@ -181,7 +185,7 @@ def _cmd_study(args):
 
 def _flag_violations(args) -> list[str]:
     """Scale and study flags must be positive and finite; the CFL safety
-    in (0, 1]."""
+    in (0, 1], and given only when no ``--dt`` sets the step."""
     problems = [f"--{name.replace('_', '-')} must be a positive finite number"
                 for name in ("dt", "dx", "t_end", "cadence", "rate", "periods")
                 if getattr(args, name, None) is not None and
@@ -189,6 +193,8 @@ def _flag_violations(args) -> list[str]:
     safety = getattr(args, "cfl_safety", None)
     if safety is not None and not 0 < safety <= 1:
         problems.append("--cfl-safety must be in (0, 1]")
+    if safety is not None and getattr(args, "dt", None) is not None:
+        problems.append("--cfl-safety sizes no step: --dt sets it")
     return problems
 
 
@@ -216,7 +222,8 @@ _COMMANDS = {
     "temperature": _Command("inlet temperature spike study", _cmd_study,
                             ("--rate", *_RUN_FLAGS)),
     "five-node": _Command("five-node network study", _cmd_study,
-                          ("--eos", *_RUN_FLAGS)),
+                          ("--eos", "--dt", "--dx", "--t-end", "--out",
+                           "--cadence")),
 }
 
 

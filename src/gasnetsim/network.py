@@ -5,15 +5,22 @@ the adjoining pipe ends through a shared nodal pressure and optional
 compressor boost ratios.  Flow from a pipe's from-node toward its to-node
 is positive.
 
-The network keeps one flat ``rho`` over the cells and one flat ``phi``
-over the faces of all pipes, pipe after pipe in edge order; each
-``edge.state.rho``/``.phi`` is a view into them.  A network step runs three
-global phases, each a handful of array operations over the flat state: the
-interior flux update on every face but the pipe ends, the nodal solves
-assigning every pipe-end flux (all nodes at once, gathered by incidence
-index arrays and summed per node with ``np.bincount``), then the density
-update on every cell.  Per-node sums always run in fixed incidence order,
-so results are deterministic.
+The network keeps one flat ``phi`` over the faces of all pipes, pipe after
+pipe in edge order, and one flat ``rho`` over their cells with one ghost
+cell between consecutive pipes, so that cell ``i`` lies between faces
+``i`` and ``i + 1`` throughout; each ``edge.state.rho``/``.phi`` is a view
+into them.  A ghost holds a fixed positive density and has ``dt/dx = 0``.
+
+A network step runs three global phases over the flat state: the flux
+update of every face between two cells (one contiguous pass; the two
+faces beside a ghost are pipe ends), the nodal solves assigning every
+pipe-end flux (all nodes at once, gathered by incidence index arrays and
+summed per node with ``np.bincount``), then the density update of every
+cell.  Per-node sums always run in fixed incidence order, so results are
+deterministic.  The network folds its constant profiles once; what a step
+at one ``dt`` reads beyond that (the dt-scaled coefficients and the nodal
+terms that constant profiles fix) is a step plan, built once per
+``(network, dt)`` and rebuilt when ``dt`` or the bound states change.
 """
 
 from __future__ import annotations
@@ -139,15 +146,17 @@ class Network:
     """Validated pipe graph with one shared EoS model, bound to every pipe's
     cells as ``edge.gas``.
 
-    The state of a network is one flat ``rho`` over the cells and one flat
-    ``phi`` over the faces of all pipes, pipe after pipe in edge order, and
-    every ``edge.state.rho``/``.phi`` is a view into them.  Each step's
+    The state of a network is one flat ``rho`` over the cells (with a ghost
+    cell between consecutive pipes) and one flat ``phi`` over the faces of
+    all pipes, pipe after pipe in edge order, and every
+    ``edge.state.rho``/``.phi`` is a view into them.  Each step's
     ``require_states`` binds the views, and binds them afresh, from the
     states' current values, whenever an edge's ``state``, ``state.rho`` or
     ``state.phi`` is not the object it bound.  The network's ``time`` and
     ``step_index`` are the clock of a network run; the pipe states' own
     do not advance.  The last step's nodal solve is kept for
-    ``node_arrays`` until the states are bound afresh.
+    ``node_arrays``, and the step plan for steps at the same ``dt``, until
+    the states are bound afresh.
     """
 
     def __init__(self, nodes, edges, eos, time: float = 0.0):
@@ -175,7 +184,7 @@ class Network:
         self._flat = _FlatLayout(self)
         self.rho = self.phi = None
         self._bound = [(_UNBOUND,) * 3] * len(self.edges)
-        self._solve = None
+        self._solve = self._plan = None
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -208,19 +217,18 @@ class Network:
         if misfit:
             raise SimulationError(f"pipe states that do not fit their "
                                   f"grids: {misfit}")
-        self.rho = np.concatenate([e.state.rho for e in self.edges],
-                                  dtype=float)
-        self.phi = np.concatenate([e.state.phi for e in self.edges],
-                                  dtype=float)
-        cells, faces = self._flat.cell_start, self._flat.face_start
-        for k, e in enumerate(self.edges):
-            e.state.rho = self.rho[cells[k]:cells[k + 1]]
-            e.state.phi = self.phi[faces[k]:faces[k + 1]]
+        start = self._flat.start
+        self.rho = np.full(start[-1] - 1, GHOST_RHO)
+        self.phi = np.empty(start[-1])
+        for e, a, b in zip(self.edges, start, start[1:]):
+            self.rho[a:b - 1] = e.state.rho
+            self.phi[a:b] = e.state.phi
+            e.state.rho, e.state.phi = self.rho[a:b - 1], self.phi[a:b]
         self._bound = [(e.state, e.state.rho, e.state.phi)
                        for e in self.edges]
         self._masses = [(w, e.state.rho)
                         for w, e in zip(self._flat.mass_weights, self.edges)]
-        self._solve = None
+        self._solve = self._plan = None
 
     def pipe_masses(self) -> list:
         """``S dx sum(rho)`` of every pipe in edge order, each a sum over
@@ -236,7 +244,7 @@ class Network:
         """Net mass inflow rate summed pipe-locally, S (phi_0 - phi_N)."""
         self.require_states()
         fl, phi = self._flat, self.phi
-        return sum((fl.pipe_area * (phi[fl.first_face] -
+        return sum((fl.pipe_area * (phi[fl.first] -
                                     phi[fl.last_face])).tolist())
 
     def pipe_records(self, masses) -> np.ndarray:
@@ -245,9 +253,9 @@ class Network:
         ``pipe_masses()``, taken as given."""
         self.require_states()
         fl, rho, phi = self._flat, self.rho, self.phi
-        return np.column_stack((fl.inlet_gas.pressure(rho[fl.first_cell]),
+        return np.column_stack((fl.inlet_gas.pressure(rho[fl.first]),
                                 fl.outlet_gas.pressure(rho[fl.last_cell]),
-                                fl.pipe_area * phi[fl.first_face],
+                                fl.pipe_area * phi[fl.first],
                                 fl.pipe_area * phi[fl.last_face], masses))
 
     def cfl_max_dt(self, safety: float = 1.0) -> float:
@@ -256,43 +264,74 @@ class Network:
 
 
 _UNBOUND = object()
+GHOST_RHO = 1.0                 # density of every ghost cell
+_GHOST_GAS = (1.0, 0.0, 1.0)    # (b1, b2, rt) of a ghost cell
+
+
+def _fold(profiles) -> tuple:
+    """``(values, varying)``: every ``Constant`` profile's value in one
+    array (NaN elsewhere), and the ``(index, profile)`` pairs of the
+    others."""
+    constant = [type(p) is Constant for p in profiles]
+    values = np.array([p.value if c else math.nan
+                       for p, c in zip(profiles, constant)], dtype=float)
+    return values, [(j, p) for j, (p, c) in enumerate(zip(profiles, constant))
+                    if not c]
+
+
+def _at(folded, t) -> np.ndarray:
+    """The values of ``_fold``ed profiles at time ``t``: the folded array
+    itself when none varies."""
+    values, varying = folded
+    if varying:
+        values = values.copy()
+        for j, profile in varying:
+            values[j] = profile(t)
+    return values
 
 
 class _FlatLayout:
     """Index and coefficient arrays of a network's flat state, built once.
 
-    Cells and faces are numbered pipe after pipe in edge order.  The
-    interior flux pass runs over every pair of consecutive cells and keeps
-    the pairs inside a pipe.  Pipe ends are grouped as the ends at slack
-    nodes, the ends at demand nodes solved from their mass balance, and
-    dead ends (a demand node with one pipe end), each group in node order
-    and each node's ends in incidence order.
+    Pipe ``k``'s faces are numbered ``start[k]`` to ``start[k + 1] - 1`` and
+    its cells from ``start[k]`` on, so cell ``i`` always lies between faces
+    ``i`` and ``i + 1``.  The cell index after each pipe's last cell, but
+    the last pipe's, is a ghost cell: it holds ``GHOST_RHO`` with the unit
+    ideal gas and ``dx = inf``, so a step never moves it.  Pipe ends are
+    grouped as the ends at slack nodes, the ends at demand nodes solved
+    from their mass balance, and dead ends (a demand node with one pipe
+    end), each group in node order and each node's ends in incidence
+    order.  Boost ratios, slack pressures and withdrawals are ``_fold``ed,
+    so only the profiles that vary are evaluated at each step.
     """
 
     def __init__(self, net: Network):
         edges, nodes = net.edges, net.nodes
         n = [e.grid.n_cells for e in edges]
-        self.cell_start = [0, *itertools.accumulate(n)]
-        self.face_start = [c + k for k, c in enumerate(self.cell_start)]
-        pipe_of_cell = np.repeat(np.arange(len(edges)), n)
-        n_cells = self.cell_start[-1]
-        # pair i joins cells i and i + 1 across face i + 1 + (pipe of cell i)
-        self.pair_face = np.arange(1, n_cells) + pipe_of_cell[:-1]
-        seams = np.array(self.cell_start[1:-1], dtype=np.intp) - 1
-        self.interior = np.delete(np.arange(n_cells - 1), seams)
-        self.interior_face = self.pair_face[self.interior]
-        # each cell's left face, as an index into the face differences
-        self.left_face = np.arange(n_cells) + pipe_of_cell
-        self.beta = np.repeat([e.geometry.beta for e in edges], n)[:-1]
-        self.dx = np.repeat([e.grid.dx for e in edges], n)
-        self.dx_pair = self.dx[:-1]
+        self.start = [0, *itertools.accumulate(k + 1 for k in n)]
+        self.first = np.array(self.start[:-1], dtype=np.intp)
+        self.last_face = np.array(self.start[1:], dtype=np.intp) - 1
+        self.last_cell = self.last_face - 1
+        self.ghosts = self.last_face[:-1]
+        # the interior pass runs over every face between two cells; the
+        # faces beside a ghost (as indices into that pass) are pipe ends
+        faces = [k + 1 for k in n]
+        self.beta = np.repeat([e.geometry.beta for e in edges], faces)[1:-1]
+        self.face_dx = np.repeat([e.grid.dx for e in edges], faces)[1:-1]
+        self.seams = np.concatenate((self.ghosts - 1, self.ghosts))
+
+        def per_cell(values, ghost):
+            """Per-pipe scalars or cell arrays over the flat cells."""
+            parts = [x for v, k in zip(values, n)
+                     for x in (np.broadcast_to(v, (k,)), (ghost,))]
+            return np.concatenate(parts[:-1], dtype=float)
+        self.dx = per_cell([e.grid.dx for e in edges], math.inf)
 
         gases = [e.gas for e in edges]
         shared = gases[0] if all(g is gases[0] for g in gases) and \
             gases[0][0] is gases[0] else None
-        coefficients = [np.concatenate([np.broadcast_to(getattr(g, c), (k,))
-                                        for g, k in zip(gases, n)])
-                        for c in ("b1", "b2", "rt")]
+        coefficients = [per_cell([getattr(g, c) for g in gases], ghost)
+                        for c, ghost in zip(("b1", "b2", "rt"), _GHOST_GAS)]
 
         def gas_of(cells):
             if shared is not None:
@@ -302,11 +341,7 @@ class _FlatLayout:
 
         self.mass_weights = [e.geometry.area * e.grid.dx for e in edges]
         self.pipe_area = np.array([e.geometry.area for e in edges])
-        self.first_cell = np.array(self.cell_start[:-1], dtype=np.intp)
-        self.last_cell = np.array(self.cell_start[1:], dtype=np.intp) - 1
-        self.first_face = np.array(self.face_start[:-1], dtype=np.intp)
-        self.last_face = np.array(self.face_start[1:], dtype=np.intp) - 1
-        self.inlet_gas = gas_of(self.first_cell)
+        self.inlet_gas = gas_of(self.first)
         self.outlet_gas = gas_of(self.last_cell)
 
         self.node_ids = [node.id for node in nodes]
@@ -316,41 +351,47 @@ class _FlatLayout:
         groups = [[i for i, kind in enumerate(kinds) if kind == g]
                   for g in range(3)]
         self.slack_nodes = np.array(groups[0], dtype=np.intp)
-        self.slack_pressures = [nodes[i].bc.pressure for i in groups[0]]
+        self.slack_pressures = _fold([nodes[i].bc.pressure
+                                      for i in groups[0]])
         self.solved_nodes = np.array(groups[1], dtype=np.intp)
-        self.withdrawals = [nodes[i].bc.withdrawal
-                            for i in groups[1] + groups[2]]
+        self.withdrawals = _fold([nodes[i].bc.withdrawal
+                                  for i in groups[1] + groups[2]])
         ends = [(i, end) for g in groups for i in g
                 for end in net.incidence[nodes[i].id]]
         sizes = [sum(len(net.incidence[nodes[i].id]) for i in g)
                  for g in groups]
         self.slack = slice(0, sizes[0])
-        self.solved = slice(sizes[0], sizes[0] + sizes[1])
-        self.dead = slice(self.solved.stop, len(ends))
-        self.targeted = slice(0, self.solved.stop)    # flux from a density
+        self.solved = m = slice(sizes[0], sizes[0] + sizes[1])
+        d = slice(self.solved.stop, len(ends))    # dead ends
+        self.targeted = t = slice(0, self.solved.stop)  # flux from a density
         self.solved_pos = np.searchsorted(
-            groups[1], [i for i, _ in ends[self.solved]]).astype(np.intp)
+            groups[1], [i for i, _ in ends[m]]).astype(np.intp)
 
         pipe_pos = {id(e): k for k, e in enumerate(edges)}
         pipes = [pipe_pos[id(e.edge)] for _, e in ends]
         self.end_node = np.array([i for i, _ in ends], dtype=np.intp)
-        self.end_cell = np.array([self.cell_start[k] + e.cell % n[k]
-                                  for k, (_, e) in zip(pipes, ends)],
-                                 dtype=np.intp)
-        self.end_face, self.end_inner = (
-            np.array([self.face_start[k] + local % (n[k] + 1)
-                      for k, local in zip(pipes, column)], dtype=np.intp)
-            for column in ([e.face for _, e in ends],
-                           [e.inner for _, e in ends]))
-        self.sgn = np.array([e.sgn for _, e in ends], dtype=float)
-        self.end_area = np.array([e.area for _, e in ends])
+
+        def flat(local, counts):
+            """Pipe-local indices (negative from the end) as flat ones."""
+            return np.array([self.start[k] + i % counts[k]
+                             for k, i in zip(pipes, local)], dtype=np.intp)
+        self.end_cell = flat([e.cell for _, e in ends], n)
+        self.end_face = flat([e.face for _, e in ends], faces)
+        self.end_inner = flat([e.inner for _, e in ends], faces)
+        sgn = np.array([e.sgn for _, e in ends], dtype=float)
+        end_area = np.array([e.area for _, e in ends])
         self.end_dx = np.array([e.dx for _, e in ends])
         self.area_dx = np.array([e.area * e.dx for _, e in ends])
         self.sgn_area = np.array([e.sgn * e.area for _, e in ends])
-        self.boosted = [(j, e.ratio) for j, (_, e) in enumerate(ends)
-                        if e.ratio is not UNIT_RATIO]
+        self.ratios = _fold([e.ratio for _, e in ends])
         self.slack_gas = gas_of(self.end_cell[self.slack])
-        self.solved_poly = gas_of(self.end_cell[self.solved]).density_poly()
+        self.solved_poly = gas_of(self.end_cell[m]).density_poly()
+        # the targeted ends' cells and faces, and the dead ends' terms
+        self.t_cell, self.t_face, self.t_inner, self.t_sgn = (
+            self.end_cell[t], self.end_face[t], self.end_inner[t], sgn[t])
+        self.solved_sgn_area = self.sgn_area[m]
+        self.d_face, self.d_sgn, self.d_area = \
+            self.end_face[d], sgn[d], end_area[d]
         # (nodes, their first pipe ends, the gas of those ends' cells) of
         # the demand nodes that report a boundary-cell pressure: all of them
         # before a step, the dead ends after one
@@ -367,16 +408,109 @@ class _FlatLayout:
 
     def alphas(self, t) -> np.ndarray:
         """Boost ratio of every pipe end at time ``t``."""
-        alpha = np.ones(self.end_node.size)
-        for j, ratio in self.boosted:
-            alpha[j] = ratio(t)
-        return alpha
+        return _at(self.ratios, t)
 
-    @staticmethod
-    def locate(index: int, starts) -> tuple:
+    def pressures(self, t) -> np.ndarray:
+        """Nodal pressures with the slack nodes' set at time ``t``, the
+        others unset."""
+        p = np.empty(len(self.node_ids))
+        p[self.slack_nodes] = _at(self.slack_pressures, t)
+        return p
+
+    def dead_flux(self, q) -> np.ndarray:
+        """The dead ends' fluxes, from the withdrawals ``q``."""
+        return self.d_sgn * (q[self.solved_nodes.size:] / self.d_area)
+
+    def locate(self, index: int) -> tuple:
         """``(pipe position, pipe-local index)`` of a flat cell or face."""
-        k = bisect.bisect_right(starts, index) - 1
-        return k, index - starts[k]
+        k = bisect.bisect_right(self.start, index) - 1
+        return k, index - self.start[k]
+
+
+class _StepPlan:
+    """What every step at one ``dt`` reads: the dt-scaled coefficients, the
+    EoS terms, and the nodal terms that constant profiles fix (None where
+    a profile varies)."""
+
+    def __init__(self, fl: _FlatLayout, dt: float):
+        self.dt = dt
+        self.beta_dt = fl.beta * dt
+        self.face_dt_dx = dt / fl.face_dx
+        self.dt_dx = dt / fl.dx    # 0 at a ghost
+        gas = fl.gas
+        self.b1, self.b1_sq, self.b2_4, self.rt = \
+            gas.b1, gas.b1 ** 2, 4.0 * gas.b2, gas.rt
+        self.w = fl.area_dx[fl.solved] / dt
+        u, v = fl.solved_poly
+        self.wu, self.wv = self.w * u, self.w * v
+        self.dx_dt = fl.end_dx[fl.targeted] / dt
+
+        s, m = fl.slack, fl.solved
+        alpha, varying = fl.ratios
+        self.rho_slack = self.quadratic = self.dead_phi = None
+        if not fl.slack_pressures[1] and all(j >= s.stop for j, _ in varying):
+            self.rho_slack = fl.slack_gas.density(
+                alpha[s] * fl.pressures(0.0)[fl.end_node[s]])
+        if not any(m.start <= j < m.stop for j, _ in varying):
+            self.quadratic = self.solved_quadratic(fl, alpha)
+        q, varying = fl.withdrawals
+        if all(j < fl.solved_nodes.size for j, _ in varying):
+            self.dead_phi = fl.dead_flux(q)
+        n_cells = fl.start[-1] - 1
+        self._cells = np.empty((2, n_cells))        # scratch
+        self._faces = np.empty((3, n_cells - 1))
+
+    def face_pass(self, rho, phi) -> np.ndarray:
+        """Write the new flux of every face between two cells into
+        ``phi[1:-1]`` and return that view.  This is ``pipe.face_fluxes``
+        on the gas's ``pressure``, operation for operation, with every
+        intermediate in scratch arrays."""
+        c1, c2 = self._cells
+        f1, f2, f3 = self._faces
+        # p = 2 RT rho / (b1 + sqrt(b1**2 + 4 b2 RT rho))
+        rtrho = np.multiply(self.rt, rho, out=c1)
+        den = np.multiply(self.b2_4, rtrho, out=c2)
+        np.add(self.b1_sq, den, out=den)
+        np.sqrt(den, out=den)
+        np.add(self.b1, den, out=den)
+        p = np.divide(np.multiply(2.0, rtrho, out=c1), den, out=c1)
+        # a = beta dt / (rho_i + rho_i+1)
+        a = np.divide(self.beta_dt, np.add(rho[:-1], rho[1:], out=f1),
+                      out=f1)
+        phi_in = phi[1:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # y = phi - (dt/dx) (p_i+1 - p_i) - a phi |phi|
+            y = np.subtract(p[1:], p[:-1], out=f2)
+            np.multiply(self.face_dt_dx, y, out=y)
+            np.subtract(phi_in, y, out=y)
+            drag = np.multiply(a, phi_in, out=f3)
+            np.multiply(drag, np.abs(phi_in, out=c2[1:]), out=drag)
+            np.subtract(y, drag, out=y)
+            # the new flux sign(y) 2 |y| / (1 + sqrt(1 + 4 a |y|))
+            ay = np.abs(y, out=f3)
+            num = np.multiply(np.sign(y, out=y), 2.0, out=y)
+            np.multiply(num, ay, out=num)
+            den = np.multiply(4.0, a, out=f1)
+            np.multiply(den, ay, out=den)
+            np.add(1.0, den, out=den)
+            np.sqrt(den, out=den)
+            np.add(1.0, den, out=den)
+            return np.divide(num, den, out=phi_in)
+
+    def density_pass(self, rho, phi) -> bool:
+        """``rho -= (dt/dx) (phi_i+1 - phi_i)`` in place; whether every
+        density is still positive (NaN is not)."""
+        jump = np.subtract(phi[1:], phi[:-1], out=self._cells[0])
+        np.subtract(rho, np.multiply(self.dt_dx, jump, out=jump), out=rho)
+        return rho.min() > 0.0
+
+    def solved_quadratic(self, fl: _FlatLayout, alpha) -> tuple:
+        """``(4 a, b, b * b)`` of every solved node's ``a p**2 + b p = rhs``
+        at the pipe ends' boost ratios ``alpha``."""
+        al, pos, k = alpha[fl.solved], fl.solved_pos, fl.solved_nodes.size
+        a = np.bincount(pos, self.wv * al * al, k)
+        b = np.bincount(pos, self.wu * al, k)
+        return 4.0 * a, b, b * b
 
 
 def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
@@ -406,7 +540,7 @@ def flow_balance_residual(sgns, areas, phis, q: float) -> float:
                         np.asarray(phis, dtype=float))) - q
 
 
-def _nodal_phase(net: Network, dt, t_half, t_next):
+def _nodal_phase(net: Network, plan: _StepPlan, t_half, t_next):
     """Assign every pipe-end flux from the nodal conditions.
 
     A slack node's ends land their boundary cells on the boosted nodal
@@ -417,21 +551,17 @@ def _nodal_phase(net: Network, dt, t_half, t_next):
     """
     fl, rho, phi = net._flat, net.rho, net.phi
     alpha = fl.alphas(t_next)
-    p = np.empty(len(fl.node_ids))
-    p[fl.slack_nodes] = [pressure(t_next) for pressure in fl.slack_pressures]
-    q = np.array([withdrawal(t_half) for withdrawal in fl.withdrawals])
+    p = fl.pressures(t_next)
+    q = _at(fl.withdrawals, t_half)
+    s, m, pos, k = fl.slack, fl.solved, fl.solved_pos, fl.solved_nodes.size
+    rho_end, phi_inner = rho[fl.t_cell], phi[fl.t_inner]
     rho_t = np.empty(fl.targeted.stop)
-    s = fl.slack
-    rho_t[s] = fl.slack_gas.density(alpha[s] * p[fl.end_node[s]])
+    rho_t[s] = fl.slack_gas.density(alpha[s] * p[fl.end_node[s]]) \
+        if plan.rho_slack is None else plan.rho_slack
 
-    m, pos, k = fl.solved, fl.solved_pos, fl.solved_nodes.size
-    w = fl.area_dx[m] / dt
-    al = alpha[m]
-    u, v = fl.solved_poly
-    rhs = np.bincount(pos, w * rho[fl.end_cell[m]], k) - q[:k] + \
-        np.bincount(pos, fl.sgn_area[m] * phi[fl.end_inner[m]], k)
-    a = np.bincount(pos, w * v * al * al, k)
-    b = np.bincount(pos, w * u * al, k)
+    a4, b, bb = plan.quadratic or plan.solved_quadratic(fl, alpha)
+    rhs = np.bincount(pos, plan.w * rho_end[m], k) - q[:k] + \
+        np.bincount(pos, fl.solved_sgn_area * phi_inner[m], k)
     bad = (rhs < 0.0) | (b <= 0.0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -439,29 +569,34 @@ def _nodal_phase(net: Network, dt, t_half, t_next):
             fl.node_ids[fl.solved_nodes[i]],
             f"balance rhs {rhs[i]:g} < 0" if rhs[i] < 0.0
             else "degenerate density map")
-    p_solved = 2.0 * rhs / (b + np.sqrt(b * b + 4.0 * a * rhs))
+    p_solved = 2.0 * rhs / (b + np.sqrt(bb + a4 * rhs))
     p[fl.solved_nodes] = p_solved
-    p_end = al * p_solved[pos]
+    p_end = alpha[m] * p_solved[pos]
+    u, v = fl.solved_poly
     rho_t[m] = u * p_end + v * p_end ** 2
 
     # the boundary flux that lands each boundary cell on its target density
-    t = fl.targeted
-    phi[fl.end_face[t]] = phi[fl.end_inner[t]] - fl.sgn[t] * (
-        fl.end_dx[t] / dt * (rho_t - rho[fl.end_cell[t]]))
-    d = fl.dead
-    phi[fl.end_face[d]] = fl.sgn[d] * (q[k:] / fl.end_area[d])
+    phi[fl.t_face] = phi_inner - fl.t_sgn * (plan.dx_dt * (rho_t - rho_end))
+    phi[fl.d_face] = fl.dead_flux(q) if plan.dead_phi is None \
+        else plan.dead_phi
     return alpha, p
 
 
 def network_step(net: Network, dt: float) -> None:
     """Advance the whole network one step.
 
-    The three phases run over the flat state: the interior faces of every
-    pipe (``pipe.face_fluxes``), every pipe end (``_nodal_phase``) and
-    every cell (``pipe.apply_density_update``).  The step's boost ratios
-    and nodal pressures stay on the network for ``node_arrays``.
+    The three phases run over the flat state with the network's step plan
+    for ``dt``, built at the first step at that ``dt`` over the bound
+    states: every face between two cells (``pipe.face_fluxes``'s
+    arithmetic), every pipe end (``_nodal_phase``) and every cell.  The
+    previous step's positivity check stands in for the EoS's and
+    ``pipe.friction_invert``'s sign checks.  The step's boost ratios and
+    nodal pressures stay on the network for ``node_arrays``.
     """
     net.require_states()
+    plan = net._plan
+    if plan is None or plan.dt != dt:
+        plan = net._plan = _StepPlan(net._flat, dt)
     t_half = net.time + 0.5 * dt
     t_next = net.time + dt
 
@@ -472,21 +607,23 @@ def network_step(net: Network, dt: float) -> None:
                 f"compressors at both ends of pipe {e.id} active at t={t_next}")
 
     fl, rho, phi = net._flat, net.rho, net.phi
-    new = pipe_ops.face_fluxes(rho, fl.gas.pressure(rho), phi[fl.pair_face],
-                               fl.beta, dt, dt / fl.dx_pair)[fl.interior]
+    new = plan.face_pass(rho, phi)
     if not np.isfinite(new).all():
-        k, face = fl.locate(int(fl.interior_face[
-            pipe_ops.first_nonfinite(new)]), fl.face_start)
-        raise UnstableRunError(net.step_index, face, net.edges[k].id)
-    phi[fl.interior_face] = new
+        # the faces beside a ghost are pipe ends, which the nodal phase sets
+        bad = ~np.isfinite(new)
+        bad[fl.seams] = False
+        if bad.any():
+            k, face = fl.locate(int(np.flatnonzero(bad)[0]) + 1)
+            raise UnstableRunError(net.step_index, face, net.edges[k].id)
 
-    alpha, p = _nodal_phase(net, dt, t_half, t_next)
+    alpha, p = _nodal_phase(net, plan, t_half, t_next)
 
-    cell = pipe_ops.apply_density_update(rho, (phi[1:] - phi[:-1])[
-        fl.left_face], dt / fl.dx)
-    if cell is not None:
-        k, local = fl.locate(cell, fl.cell_start)
-        raise PositivityError(net.step_index + 1, local, net.edges[k].id)
+    if not plan.density_pass(rho, phi):
+        rho[fl.ghosts] = GHOST_RHO    # a non-finite pipe end reads 0 * inf
+        cell = pipe_ops.first_nonpositive(rho)
+        if cell is not None:
+            k, local = fl.locate(cell)
+            raise PositivityError(net.step_index + 1, local, net.edges[k].id)
     net.time = t_next
     net.step_index += 1
     net._solve = alpha, p
@@ -518,9 +655,7 @@ def node_arrays(net: Network) -> tuple:
         nodes, ends, gas = fl.dead_report
     else:
         alpha = fl.alphas(net.time)
-        p = np.empty(len(fl.node_ids))
-        p[fl.slack_nodes] = [pressure(net.time)
-                             for pressure in fl.slack_pressures]
+        p = fl.pressures(net.time)
         nodes, ends, gas = fl.demand_report
     p[nodes] = gas.pressure(net.rho[fl.end_cell[ends]]) / alpha[ends]
     netflow = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],

@@ -327,7 +327,7 @@ def test_nonisothermal_network_runs(five_node_path, tmp_path):
 
 class TestStudyFlags:
     def test_zero_flags_do_not_fall_back_to_defaults(self, capsys):
-        assert main(["five-node", "--cfl-safety", "0", "--dt", "0"]) == 1
+        assert main(["fast-transient", "--cfl-safety", "0", "--dt", "0"]) == 1
         err = capsys.readouterr().err
         assert "error: validation: --dt" in err
         assert "error: validation: --cfl-safety" in err
@@ -464,7 +464,7 @@ DROPPED_FLAGS = {
     ("temperature", "--dx", "5000", "--t-end", "60", "--out", "{out}"):
         ("--strict",),
     ("five-node", "--dx", "4000", "--t-end", "60", "--out", "{out}"):
-        ("--strict",),
+        ("--cfl-safety", "--strict"),
 }
 
 
@@ -558,13 +558,55 @@ def test_every_study_flag_reaches_the_experiment(name, monkeypatch,
     calls = []
     run = _record(monkeypatch, name, calls)
     flags = [f for f in cli._COMMANDS[name].flags if f != "--out"]
-    argv = [name, "--out", str(tmp_path)]
-    expected = {arg: p.default for arg, p
-                in inspect.signature(run).parameters.items()}
-    for flag in flags:
-        value, arg = FLAG_VALUES[flag]
-        argv += [flag, str(value)]
-        expected["dx_target" if (name, arg) == ("five-node", "dx")
-                 else arg] = value
-    assert main(argv) == 0
-    assert calls == [expected]
+    flag_sets = [flags]
+    if "--cfl-safety" in flags:
+        # --cfl-safety only sizes a step that --dt leaves unset
+        flag_sets = [[f for f in flags if f != other]
+                     for other in ("--dt", "--cfl-safety")]
+    for chosen in flag_sets:
+        calls.clear()
+        argv = [name, "--out", str(tmp_path)]
+        expected = {arg: p.default for arg, p
+                    in inspect.signature(run).parameters.items()}
+        for flag in chosen:
+            value, arg = FLAG_VALUES[flag]
+            argv += [flag, str(value)]
+            expected["dx_target" if (name, arg) == ("five-node", "dx")
+                     else arg] = value
+        assert main(argv) == 0
+        assert calls == [expected]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fast-transient", "--dt", "0.5"],
+    ["slow-transient", "--dt", "0.5"],
+    ["temperature", "--dt", "0.5"],
+    ["run", "{config}", "--dt", "0.5"],
+    ["run", "{config}"],
+], ids=["fast-transient", "slow-transient", "temperature", "run-dt",
+        "run-config-dt"])
+def test_cfl_safety_with_a_set_step_is_refused(argv, tmp_path, monkeypatch,
+                                               capfd):
+    # minimal_doc sets simulation.dt
+    (tmp_path / "net.json").write_text(json.dumps(minimal_doc()))
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(config="net.json") for a in argv]
+    assert main(argv + ["--cfl-safety", "0.5", "--out", "o"]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: validation: --cfl-safety") and \
+        err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cfl_safety_sizes_the_step_a_config_leaves_unset(tmp_path):
+    doc = minimal_doc()
+    doc["simulation"]["dt"] = None
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    dts = {}
+    for safety in ("0.9", "0.45"):
+        out = tmp_path / safety
+        assert main(["run", str(path), "--cfl-safety", safety,
+                     "--out", str(out)]) == 0
+        dts[safety] = json.loads((out / "run_summary.json").read_text())
+    assert dts["0.45"]["steps"] > dts["0.9"]["steps"]

@@ -305,7 +305,9 @@ class TestFlatStep:
     def test_states_are_views_of_the_flat_arrays(self):
         net = mixed_network()
         network_step(net, 1.0)
-        assert net.rho.size == sum(e.grid.n_cells for e in net.edges)
+        # one ghost cell between consecutive pipes
+        assert net.rho.size == sum(e.grid.n_cells for e in net.edges) + \
+            len(net.edges) - 1
         for e in net.edges:
             assert e.state.rho.base is net.rho and e.state.phi.base is net.phi
         assert net.total_mass() == sum(
@@ -400,6 +402,100 @@ class TestFlatStep:
                            match="cell 6 of pipe c, step 2") as err:
             network_step(net, 1.0)
         assert err.value.cell == 6
+
+    @pytest.mark.parametrize("face", [1, 9])
+    def test_non_finite_seam_face_names_the_middle_pipe(self, face):
+        # the first and last interior faces of the middle pipe sit next to
+        # its boundary cells, one cell from a ghost
+        net = chain_network()
+        network_step(net, 1.0)
+        net.edge("m").state.phi[face] = np.inf
+        with pytest.raises(UnstableRunError,
+                           match=f"face {face} of pipe m, step 1") as err:
+            network_step(net, 1.0)
+        assert err.value.face == face
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_drained_seam_cell_names_the_middle_pipe(self, first):
+        # the middle pipe "m" joins the junction b and the dead end c, whose
+        # withdrawal empties m's boundary cell next to a ghost
+        eos = CngaGas()
+        ends = ("c", "b") if first else ("b", "c")
+        edges = [PipeEdge(pid, frm, to, PipeGeometry(10e3, 0.9144, 0.01),
+                          PipeGrid(10e3, 10))
+                 for pid, frm, to in (("a", "a", "b"), ("m", *ends),
+                                      ("d", "b", "d"))]
+        net = Network([Node("a", SlackBC(Constant(6.5e6))),
+                       Node("b", DemandBC(Constant(0.0))),
+                       Node("c", DemandBC(Constant(1e5))),
+                       Node("d", DemandBC(Constant(0.0)))], edges, eos)
+        for e in edges:
+            e.state = uniform_state(e.grid, eos.density(6.5e6))
+        cell = 0 if first else 9
+        with pytest.raises(PositivityError,
+                           match=f"cell {cell} of pipe m, step 1") as err:
+            network_step(net, 1.0)
+        assert err.value.cell == cell
+
+    def test_pipe_end_faces_beside_a_ghost_never_raise(self):
+        # a pipe end's old flux is not read: the nodal phase replaces it
+        net, fresh = chain_network(), chain_network()
+        for e in net.edges:
+            e.state.phi[[0, -1]] = [np.nan, np.inf]
+        for _ in range(3):
+            network_step(net, 1.0)
+            network_step(fresh, 1.0)
+        for (rho, phi), (rho_f, phi_f) in zip(states_of(net),
+                                             states_of(fresh)):
+            assert np.array_equal(rho, rho_f) and np.array_equal(phi, phi_f)
+
+    def test_an_overflowing_flux_jump_at_a_ghost_never_raises(self):
+        # injections of 1e308 kg/s at the dead ends c and d point the pipe
+        # ends beside the ghost between "x" and "y" at 1.5e308 kg/(m2 s)
+        # in opposite directions: their difference overflows, but both
+        # boundary cells only fill
+        eos = CngaGas()
+        edges = [PipeEdge(pid, frm, to, PipeGeometry(10e3, 0.9144, 0.01),
+                          PipeGrid(10e3, 10))
+                 for pid, frm, to in (("s", "a", "b"), ("x", "b", "c"),
+                                      ("y", "d", "b"))]
+        net = Network([Node("a", SlackBC(Constant(6.5e6))),
+                       Node("b", DemandBC(Constant(0.0))),
+                       Node("c", DemandBC(Constant(-1e308))),
+                       Node("d", DemandBC(Constant(-1e308)))], edges, eos)
+        for e in edges:
+            e.state = uniform_state(e.grid, eos.density(6.5e6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            network_step(net, 1.0)
+        assert net.edge("x").state.rho[-1] > 1e300
+        assert net.edge("y").state.rho[0] > 1e300
+
+    def test_a_new_step_size_matches_the_kernels_at_that_size(self):
+        net = mixed_network()
+        network_step(net, 0.5 * net.cfl_max_dt())
+        dt = 0.3 * net.cfl_max_dt()
+        t_half, t_next = net.time + 0.5 * dt, net.time + dt
+        before = states_of(net)
+        network_step(net, dt)
+        for e, (rho, phi) in zip(net.edges, before):
+            state = PipeState(rho, phi)
+            interior_flux_update(state, e.geometry, e.grid, e.gas, dt)
+            assert np.array_equal(e.state.phi[1:-1], state.phi[1:-1]), e.id
+        records = node_records(net)
+        for node in net.nodes:
+            ends = net.incidence[node.id]
+            if node.is_slack or len(ends) == 1:
+                continue
+            pos = [net.edges.index(end.edge) for end in ends]
+            p = nodal_pressure_solve(
+                [end.area * end.dx / dt for end in ends],
+                [end.ratio(t_next) for end in ends],
+                [before[k][0][end.cell] for k, end in zip(pos, ends)],
+                [end.gas.density_poly() for end in ends],
+                node.bc.withdrawal(t_half),
+                sum(end.sgn * end.area * float(end.edge.state.phi[end.inner])
+                    for end in ends), node.id)
+            assert records[node.id][0] == pytest.approx(p, rel=1e-13)
 
     def test_reassigned_state_matches_a_fresh_build(self):
         net, fresh = chain_network(), chain_network()

@@ -1,10 +1,14 @@
 """Property tests of the network step on generated trees and rings.
 
 Each example builds a quiescent network at uniform pressure, with mixed
-grids and frictions and constant or harmonic withdrawals, and runs it 50
+grids and frictions, constant or harmonic withdrawals, compressors at one
+end of some pipes with constant or harmonic ratios, and either the uniform
+CNGA gas or a non-isothermal one with per-cell coefficients.  It runs 50
 steps through ``simulate_network`` (which checks the mass ledger every
 step), sampling every step.  A third run streams its CSV, which must be
-the bytes of the unstreamed run's rows written whole.
+the bytes of the unstreamed run's rows written whole.  One more step must
+give every pipe's interior faces exactly as ``pipe.interior_flux_update``
+does.
 
 Kirchhoff balance is checked at every demand junction after every step to
 1e-12 of the largest term of the node's discrete balance: the ends' mass
@@ -22,20 +26,33 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gasnetsim.eos import CngaGas
+from gasnetsim.eos import CngaGas, NonIsothermalCnga, TemperatureProfile
 from gasnetsim.experiments import simulate_network
-from gasnetsim.network import DemandBC, Network, Node, PipeEdge, SlackBC
+from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
+                               network_step)
 from gasnetsim.output import SeriesWriter, write_series
-from gasnetsim.pipe import PipeGeometry, PipeGrid, uniform_state
+from gasnetsim.pipe import (PipeGeometry, PipeGrid, PipeState,
+                            interior_flux_update)
 from gasnetsim.profiles import Constant, Harmonic
 
 P0 = 5.0e6
 STEPS = 50
 
 
+def ratios():
+    """A compressor's boost ratio: ``("constant", value)`` or
+    ``("harmonic", offset, amplitude, omega)``."""
+    return st.one_of(
+        st.tuples(st.just("constant"), st.floats(1.0, 1.3)),
+        st.tuples(st.just("harmonic"), st.floats(1.05, 1.3),
+                  st.floats(0, 0.05), st.floats(1e-3, 0.1)))
+
+
 @st.composite
 def networks(draw):
-    """``(nodes, pipes)`` specs of a tree or ring with 3 to 8 nodes."""
+    """``(nodes, pipes, gas)`` specs of a tree or ring with 3 to 8 nodes;
+    each pipe may carry a compressor at its inlet or its outlet, and the
+    gas is None (uniform) or a non-isothermal ``(jump, decay_rate)``."""
     n = draw(st.integers(3, 8))
     if draw(st.booleans()):
         links = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
@@ -58,28 +75,40 @@ def networks(draw):
             a, b = b, a
         pipes.append((f"p{k}", str(a), str(b),
                       draw(st.floats(2e3, 20e3)), draw(st.floats(0.4, 1.0)),
-                      draw(st.floats(0.0, 0.02)), draw(st.integers(2, 12))))
-    return nodes, pipes
+                      draw(st.floats(0.0, 0.02)), draw(st.integers(2, 12)),
+                      draw(st.sampled_from((None, "inlet", "outlet"))),
+                      draw(ratios())))
+    gas = draw(st.none() | st.tuples(st.floats(0.0, 40.0),
+                                     st.floats(1e-4, 1e-3)))
+    return nodes, pipes, gas
+
+
+def profile(spec):
+    if spec[0] == "constant":
+        return Constant(spec[1])
+    return Harmonic(offset=spec[1], amplitude=spec[2], omega=spec[3])
 
 
 def build(spec):
-    nodes, pipes = spec
-    eos = CngaGas()
+    nodes, pipes, gas = spec
+    eos = CngaGas() if gas is None else NonIsothermalCnga(
+        TemperatureProfile(ambient=288.706, jump=gas[0], decay_rate=gas[1]))
 
-    def bc(profile):
-        if profile is None:
+    def bc(withdrawal):
+        if withdrawal is None:
             return SlackBC(Constant(P0))
-        if profile[0] == "constant":
-            return DemandBC(Constant(profile[1]))
-        return DemandBC(Harmonic(offset=profile[1], amplitude=profile[2],
-                                 omega=profile[3]))
-    net = Network([Node(nid, bc(profile)) for nid, profile in nodes],
+        return DemandBC(profile(withdrawal))
+    net = Network([Node(nid, bc(withdrawal)) for nid, withdrawal in nodes],
                   [PipeEdge(pid, a, b, PipeGeometry(length, diameter, f),
-                            PipeGrid(length, n_cells))
-                   for pid, a, b, length, diameter, f, n_cells in pipes],
-                  eos)
+                            PipeGrid(length, n_cells),
+                            **({f"{side}_ratio": profile(ratio)} if side
+                               else {}))
+                   for pid, a, b, length, diameter, f, n_cells, side, ratio
+                   in pipes], eos)
     for e in net.edges:
-        e.state = uniform_state(e.grid, eos.density(P0))
+        n = e.grid.n_cells
+        e.state = PipeState(np.full(n, e.gas.density(P0)),
+                            np.zeros(n + 1))
     return net
 
 
@@ -106,18 +135,18 @@ def test_generated_networks_keep_kirchhoff_and_rerun_bitwise(spec):
         for node in net.nodes:
             if node.is_slack:
                 continue
-            # (S phi, boundary-cell pressure, pipe) at each end of the
-            # node: outlet flows arrive, inlet flows leave
+            # (S phi, boundary-cell pressure, pipe, boundary-cell gas) at
+            # each end of the node: outlet flows arrive, inlet flows leave
             ends = [(values[t, "pipe", e.id, "mflow_out"],
-                     values[t, "pipe", e.id, "p_out"], e)
+                     values[t, "pipe", e.id, "p_out"], e, e.gas[-1])
                     for e in net.edges if e.to_node == node.id] + \
                 [(-values[t, "pipe", e.id, "mflow_in"],
-                  values[t, "pipe", e.id, "p_in"], e)
+                  values[t, "pipe", e.id, "p_in"], e, e.gas[0])
                  for e in net.edges if e.from_node == node.id]
-            residual = sum(flow for flow, _, _ in ends) - \
+            residual = sum(flow for flow, *_ in ends) - \
                 node.bc.withdrawal(t - 0.5 * dt)
             scale = max(max(abs(flow), e.geometry.area * e.grid.dx *
-                            net.eos.density(p) / dt) for flow, p, e in ends)
+                            gas.density(p) / dt) for flow, p, e, gas in ends)
             assert abs(residual) <= 1e-12 * scale, (node.id, t, residual)
 
     rerun_net, _, rerun = run(spec)
@@ -132,3 +161,10 @@ def test_generated_networks_keep_kirchhoff_and_rerun_bitwise(spec):
             run(spec, writer)
         write_series(result.store.rows, whole)
         assert streamed.read_bytes() == whole.read_bytes()
+
+    before = [PipeState(e.state.rho.copy(), e.state.phi.copy())
+              for e in net.edges]
+    network_step(net, dt)
+    for e, state in zip(net.edges, before):
+        interior_flux_update(state, e.geometry, e.grid, e.gas, dt)
+        assert np.array_equal(e.state.phi[1:-1], state.phi[1:-1]), e.id
