@@ -218,7 +218,7 @@ class Network:
             raise SimulationError(f"pipe states that do not fit their "
                                   f"grids: {misfit}")
         start = self._flat.start
-        self.rho = np.full(start[-1] - 1, GHOST_RHO)
+        self.rho = np.full(start[-1] - 1, _GHOST_RHO)
         self.phi = np.empty(start[-1])
         for e, a, b in zip(self.edges, start, start[1:]):
             self.rho[a:b - 1] = e.state.rho
@@ -264,7 +264,7 @@ class Network:
 
 
 _UNBOUND = object()
-GHOST_RHO = 1.0                 # density of every ghost cell
+_GHOST_RHO = 1.0                 # density of every ghost cell
 _GHOST_GAS = (1.0, 0.0, 1.0)    # (b1, b2, rt) of a ghost cell
 
 
@@ -296,7 +296,7 @@ class _FlatLayout:
     Pipe ``k``'s faces are numbered ``start[k]`` to ``start[k + 1] - 1`` and
     its cells from ``start[k]`` on, so cell ``i`` always lies between faces
     ``i`` and ``i + 1``.  The cell index after each pipe's last cell, but
-    the last pipe's, is a ghost cell: it holds ``GHOST_RHO`` with the unit
+    the last pipe's, is a ghost cell: it holds ``_GHOST_RHO`` with the unit
     ideal gas and ``dx = inf``, so a step never moves it.  Pipe ends are
     grouped as the ends at slack nodes, the ends at demand nodes solved
     from their mass balance, and dead ends (a demand node with one pipe
@@ -429,8 +429,8 @@ class _FlatLayout:
 
 class _StepPlan:
     """What every step at one ``dt`` reads: the dt-scaled coefficients, the
-    EoS terms, and the nodal terms that constant profiles fix (None where
-    a profile varies)."""
+    EoS terms, the nodal terms that constant profiles fix (None where a
+    profile varies), and scratch arrays for the face and density passes."""
 
     def __init__(self, fl: _FlatLayout, dt: float):
         self.dt = dt
@@ -587,11 +587,12 @@ def network_step(net: Network, dt: float) -> None:
 
     The three phases run over the flat state with the network's step plan
     for ``dt``, built at the first step at that ``dt`` over the bound
-    states: every face between two cells (``pipe.face_fluxes``'s
-    arithmetic), every pipe end (``_nodal_phase``) and every cell.  The
+    states: every face between two cells (``_StepPlan.face_pass``), every
+    pipe end (``_nodal_phase``) and every cell (``density_pass``).  The
     previous step's positivity check stands in for the EoS's and
-    ``pipe.friction_invert``'s sign checks.  The step's boost ratios and
-    nodal pressures stay on the network for ``node_arrays``.
+    ``pipe.friction_invert``'s sign checks.  A step that raises leaves the
+    state part-way advanced.  The step's boost ratios and nodal pressures
+    stay on the network for ``node_arrays``.
     """
     net.require_states()
     plan = net._plan
@@ -619,9 +620,10 @@ def network_step(net: Network, dt: float) -> None:
     alpha, p = _nodal_phase(net, plan, t_half, t_next)
 
     if not plan.density_pass(rho, phi):
-        rho[fl.ghosts] = GHOST_RHO    # a non-finite pipe end reads 0 * inf
-        cell = pipe_ops.first_nonpositive(rho)
-        if cell is not None:
+        rho[fl.ghosts] = _GHOST_RHO    # a non-finite pipe end reads 0 * inf
+        if not (rho > 0).all():
+            # as pipe.apply_density_update reports it
+            cell = int(np.flatnonzero((rho <= 0) | ~np.isfinite(rho))[0])
             k, local = fl.locate(cell)
             raise PositivityError(net.step_index + 1, local, net.edges[k].id)
     net.time = t_next

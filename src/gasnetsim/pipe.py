@@ -154,9 +154,11 @@ def boundary_flux_from_density(state: PipeState, grid: PipeGrid, side: str,
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def first_nonpositive(rho) -> int | None:
-    """Index of the first density that is not positive (NaN included), or
-    None."""
+def apply_density_update(rho, flux_jump, dt_dx) -> int | None:
+    """``rho -= dt_dx * flux_jump`` in place, where ``flux_jump`` is each
+    cell's right-face minus left-face flux.  Returns the first cell whose
+    density is no longer positive (NaN included), or None."""
+    rho -= dt_dx * flux_jump
     if (rho > 0).all():
         return None
     bad = rho <= 0
@@ -168,8 +170,8 @@ def first_nonpositive(rho) -> int | None:
 def density_update(state: PipeState, grid: PipeGrid, dt: float,
                    pipe_id: str = "") -> None:
     """Advance densities one step from the face fluxes; advances time."""
-    state.rho -= dt / grid.dx * (state.phi[1:] - state.phi[:-1])
-    cell = first_nonpositive(state.rho)
+    cell = apply_density_update(state.rho, state.phi[1:] - state.phi[:-1],
+                                dt / grid.dx)
     if cell is not None:
         raise PositivityError(state.step_index + 1, cell, pipe_id)
     state.step_index += 1
