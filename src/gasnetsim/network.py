@@ -12,15 +12,14 @@ cell between consecutive pipes, so that cell ``i`` lies between faces
 into them.  A ghost holds a fixed positive density and has ``dt/dx = 0``.
 
 A network step runs three global phases over the flat state: the flux
-update of every face between two cells (one contiguous pass; the two
-faces beside a ghost are pipe ends), the nodal solves assigning every
-pipe-end flux (all nodes at once, gathered by incidence index arrays and
-summed per node with ``np.bincount``), then the density update of every
-cell.  Per-node sums always run in fixed incidence order, so results are
-deterministic.  The network folds its constant profiles once; what a step
-at one ``dt`` reads beyond that (the dt-scaled coefficients and the nodal
-terms that constant profiles fix) is a step plan, built once per
-``(network, dt)`` and rebuilt when ``dt`` or the bound states change.
+update of every face between two cells (one contiguous ``pipe.face_fluxes``
+pass; the two faces beside a ghost are pipe ends), the nodal solves
+assigning every pipe-end flux (all nodes at once, gathered by incidence
+index arrays and summed per node with ``np.bincount``), then the density
+update of every cell.  Per-node sums always run in fixed incidence order,
+so results are deterministic.  The network reads its constant profiles
+once; the dt-scaled coefficients a step reads are a step plan, built once
+per ``(network, dt)`` and rebuilt when ``dt`` or the bound states change.
 """
 
 from __future__ import annotations
@@ -361,11 +360,11 @@ class _FlatLayout:
         sizes = [sum(len(net.incidence[nodes[i].id]) for i in g)
                  for g in groups]
         self.slack = slice(0, sizes[0])
-        self.solved = m = slice(sizes[0], sizes[0] + sizes[1])
-        d = slice(self.solved.stop, len(ends))    # dead ends
-        self.targeted = t = slice(0, self.solved.stop)  # flux from a density
+        self.solved = slice(sizes[0], sizes[0] + sizes[1])
+        self.dead = slice(self.solved.stop, len(ends))
+        self.targeted = slice(0, self.solved.stop)    # flux from a density
         self.solved_pos = np.searchsorted(
-            groups[1], [i for i, _ in ends[m]]).astype(np.intp)
+            groups[1], [i for i, _ in ends[self.solved]]).astype(np.intp)
 
         pipe_pos = {id(e): k for k, e in enumerate(edges)}
         pipes = [pipe_pos[id(e.edge)] for _, e in ends]
@@ -378,20 +377,14 @@ class _FlatLayout:
         self.end_cell = flat([e.cell for _, e in ends], n)
         self.end_face = flat([e.face for _, e in ends], faces)
         self.end_inner = flat([e.inner for _, e in ends], faces)
-        sgn = np.array([e.sgn for _, e in ends], dtype=float)
-        end_area = np.array([e.area for _, e in ends])
+        self.sgn = np.array([e.sgn for _, e in ends], dtype=float)
+        self.end_area = np.array([e.area for _, e in ends])
         self.end_dx = np.array([e.dx for _, e in ends])
         self.area_dx = np.array([e.area * e.dx for _, e in ends])
         self.sgn_area = np.array([e.sgn * e.area for _, e in ends])
         self.ratios = _fold([e.ratio for _, e in ends])
         self.slack_gas = gas_of(self.end_cell[self.slack])
-        self.solved_poly = gas_of(self.end_cell[m]).density_poly()
-        # the targeted ends' cells and faces, and the dead ends' terms
-        self.t_cell, self.t_face, self.t_inner, self.t_sgn = (
-            self.end_cell[t], self.end_face[t], self.end_inner[t], sgn[t])
-        self.solved_sgn_area = self.sgn_area[m]
-        self.d_face, self.d_sgn, self.d_area = \
-            self.end_face[d], sgn[d], end_area[d]
+        self.solved_poly = gas_of(self.end_cell[self.solved]).density_poly()
         # (nodes, their first pipe ends, the gas of those ends' cells) of
         # the demand nodes that report a boundary-cell pressure: all of them
         # before a step, the dead ends after one
@@ -417,10 +410,6 @@ class _FlatLayout:
         p[self.slack_nodes] = _at(self.slack_pressures, t)
         return p
 
-    def dead_flux(self, q) -> np.ndarray:
-        """The dead ends' fluxes, from the withdrawals ``q``."""
-        return self.d_sgn * (q[self.solved_nodes.size:] / self.d_area)
-
     def locate(self, index: int) -> tuple:
         """``(pipe position, pipe-local index)`` of a flat cell or face."""
         k = bisect.bisect_right(self.start, index) - 1
@@ -428,89 +417,17 @@ class _FlatLayout:
 
 
 class _StepPlan:
-    """What every step at one ``dt`` reads: the dt-scaled coefficients, the
-    EoS terms, the nodal terms that constant profiles fix (None where a
-    profile varies), and scratch arrays for the face and density passes."""
+    """The dt-scaled coefficients that every step at one ``dt`` reads."""
 
     def __init__(self, fl: _FlatLayout, dt: float):
         self.dt = dt
         self.beta_dt = fl.beta * dt
         self.face_dt_dx = dt / fl.face_dx
         self.dt_dx = dt / fl.dx    # 0 at a ghost
-        gas = fl.gas
-        self.b1, self.b1_sq, self.b2_4, self.rt = \
-            gas.b1, gas.b1 ** 2, 4.0 * gas.b2, gas.rt
         self.w = fl.area_dx[fl.solved] / dt
         u, v = fl.solved_poly
         self.wu, self.wv = self.w * u, self.w * v
         self.dx_dt = fl.end_dx[fl.targeted] / dt
-
-        s, m = fl.slack, fl.solved
-        alpha, varying = fl.ratios
-        self.rho_slack = self.quadratic = self.dead_phi = None
-        if not fl.slack_pressures[1] and all(j >= s.stop for j, _ in varying):
-            self.rho_slack = fl.slack_gas.density(
-                alpha[s] * fl.pressures(0.0)[fl.end_node[s]])
-        if not any(m.start <= j < m.stop for j, _ in varying):
-            self.quadratic = self.solved_quadratic(fl, alpha)
-        q, varying = fl.withdrawals
-        if all(j < fl.solved_nodes.size for j, _ in varying):
-            self.dead_phi = fl.dead_flux(q)
-        n_cells = fl.start[-1] - 1
-        self._cells = np.empty((2, n_cells))        # scratch
-        self._faces = np.empty((3, n_cells - 1))
-
-    def face_pass(self, rho, phi) -> np.ndarray:
-        """Write the new flux of every face between two cells into
-        ``phi[1:-1]`` and return that view.  This is ``pipe.face_fluxes``
-        on the gas's ``pressure``, operation for operation, with every
-        intermediate in scratch arrays."""
-        c1, c2 = self._cells
-        f1, f2, f3 = self._faces
-        # p = 2 RT rho / (b1 + sqrt(b1**2 + 4 b2 RT rho))
-        rtrho = np.multiply(self.rt, rho, out=c1)
-        den = np.multiply(self.b2_4, rtrho, out=c2)
-        np.add(self.b1_sq, den, out=den)
-        np.sqrt(den, out=den)
-        np.add(self.b1, den, out=den)
-        p = np.divide(np.multiply(2.0, rtrho, out=c1), den, out=c1)
-        # a = beta dt / (rho_i + rho_i+1)
-        a = np.divide(self.beta_dt, np.add(rho[:-1], rho[1:], out=f1),
-                      out=f1)
-        phi_in = phi[1:-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # y = phi - (dt/dx) (p_i+1 - p_i) - a phi |phi|
-            y = np.subtract(p[1:], p[:-1], out=f2)
-            np.multiply(self.face_dt_dx, y, out=y)
-            np.subtract(phi_in, y, out=y)
-            drag = np.multiply(a, phi_in, out=f3)
-            np.multiply(drag, np.abs(phi_in, out=c2[1:]), out=drag)
-            np.subtract(y, drag, out=y)
-            # the new flux sign(y) 2 |y| / (1 + sqrt(1 + 4 a |y|))
-            ay = np.abs(y, out=f3)
-            num = np.multiply(np.sign(y, out=y), 2.0, out=y)
-            np.multiply(num, ay, out=num)
-            den = np.multiply(4.0, a, out=f1)
-            np.multiply(den, ay, out=den)
-            np.add(1.0, den, out=den)
-            np.sqrt(den, out=den)
-            np.add(1.0, den, out=den)
-            return np.divide(num, den, out=phi_in)
-
-    def density_pass(self, rho, phi) -> bool:
-        """``rho -= (dt/dx) (phi_i+1 - phi_i)`` in place; whether every
-        density is still positive (NaN is not)."""
-        jump = np.subtract(phi[1:], phi[:-1], out=self._cells[0])
-        np.subtract(rho, np.multiply(self.dt_dx, jump, out=jump), out=rho)
-        return rho.min() > 0.0
-
-    def solved_quadratic(self, fl: _FlatLayout, alpha) -> tuple:
-        """``(4 a, b, b * b)`` of every solved node's ``a p**2 + b p = rhs``
-        at the pipe ends' boost ratios ``alpha``."""
-        al, pos, k = alpha[fl.solved], fl.solved_pos, fl.solved_nodes.size
-        a = np.bincount(pos, self.wv * al * al, k)
-        b = np.bincount(pos, self.wu * al, k)
-        return 4.0 * a, b, b * b
 
 
 def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
@@ -553,15 +470,17 @@ def _nodal_phase(net: Network, plan: _StepPlan, t_half, t_next):
     alpha = fl.alphas(t_next)
     p = fl.pressures(t_next)
     q = _at(fl.withdrawals, t_half)
-    s, m, pos, k = fl.slack, fl.solved, fl.solved_pos, fl.solved_nodes.size
-    rho_end, phi_inner = rho[fl.t_cell], phi[fl.t_inner]
     rho_t = np.empty(fl.targeted.stop)
-    rho_t[s] = fl.slack_gas.density(alpha[s] * p[fl.end_node[s]]) \
-        if plan.rho_slack is None else plan.rho_slack
+    s = fl.slack
+    rho_t[s] = fl.slack_gas.density(alpha[s] * p[fl.end_node[s]])
 
-    a4, b, bb = plan.quadratic or plan.solved_quadratic(fl, alpha)
-    rhs = np.bincount(pos, plan.w * rho_end[m], k) - q[:k] + \
-        np.bincount(pos, fl.solved_sgn_area * phi_inner[m], k)
+    m, pos, k = fl.solved, fl.solved_pos, fl.solved_nodes.size
+    al = alpha[m]
+    u, v = fl.solved_poly
+    rhs = np.bincount(pos, plan.w * rho[fl.end_cell[m]], k) - q[:k] + \
+        np.bincount(pos, fl.sgn_area[m] * phi[fl.end_inner[m]], k)
+    a = np.bincount(pos, plan.wv * al * al, k)
+    b = np.bincount(pos, plan.wu * al, k)
     bad = (rhs < 0.0) | (b <= 0.0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -569,16 +488,17 @@ def _nodal_phase(net: Network, plan: _StepPlan, t_half, t_next):
             fl.node_ids[fl.solved_nodes[i]],
             f"balance rhs {rhs[i]:g} < 0" if rhs[i] < 0.0
             else "degenerate density map")
-    p_solved = 2.0 * rhs / (b + np.sqrt(bb + a4 * rhs))
+    p_solved = 2.0 * rhs / (b + np.sqrt(b * b + 4.0 * a * rhs))
     p[fl.solved_nodes] = p_solved
-    p_end = alpha[m] * p_solved[pos]
-    u, v = fl.solved_poly
+    p_end = al * p_solved[pos]
     rho_t[m] = u * p_end + v * p_end ** 2
 
     # the boundary flux that lands each boundary cell on its target density
-    phi[fl.t_face] = phi_inner - fl.t_sgn * (plan.dx_dt * (rho_t - rho_end))
-    phi[fl.d_face] = fl.dead_flux(q) if plan.dead_phi is None \
-        else plan.dead_phi
+    t = fl.targeted
+    phi[fl.end_face[t]] = phi[fl.end_inner[t]] - fl.sgn[t] * (
+        plan.dx_dt * (rho_t - rho[fl.end_cell[t]]))
+    d = fl.dead
+    phi[fl.end_face[d]] = fl.sgn[d] * (q[k:] / fl.end_area[d])
     return alpha, p
 
 
@@ -587,12 +507,12 @@ def network_step(net: Network, dt: float) -> None:
 
     The three phases run over the flat state with the network's step plan
     for ``dt``, built at the first step at that ``dt`` over the bound
-    states: every face between two cells (``_StepPlan.face_pass``), every
-    pipe end (``_nodal_phase``) and every cell (``density_pass``).  The
-    previous step's positivity check stands in for the EoS's and
-    ``pipe.friction_invert``'s sign checks.  A step that raises leaves the
-    state part-way advanced.  The step's boost ratios and nodal pressures
-    stay on the network for ``node_arrays``.
+    states: every face between two cells (``pipe.face_fluxes``), every pipe
+    end (``_nodal_phase``) and every cell.  A non-finite interior face
+    raises before the step writes anything; an infeasible node or a
+    drained cell raises with the state part-way advanced.  The step's
+    boost ratios and nodal pressures stay on the network for
+    ``node_arrays``.
     """
     net.require_states()
     plan = net._plan
@@ -608,7 +528,8 @@ def network_step(net: Network, dt: float) -> None:
                 f"compressors at both ends of pipe {e.id} active at t={t_next}")
 
     fl, rho, phi = net._flat, net.rho, net.phi
-    new = plan.face_pass(rho, phi)
+    new = pipe_ops.face_fluxes(rho, fl.gas.pressure(rho), phi[1:-1],
+                               plan.beta_dt, plan.face_dt_dx)
     if not np.isfinite(new).all():
         # the faces beside a ghost are pipe ends, which the nodal phase sets
         bad = ~np.isfinite(new)
@@ -616,15 +537,16 @@ def network_step(net: Network, dt: float) -> None:
         if bad.any():
             k, face = fl.locate(int(np.flatnonzero(bad)[0]) + 1)
             raise UnstableRunError(net.step_index, face, net.edges[k].id)
+    phi[1:-1] = new
 
     alpha, p = _nodal_phase(net, plan, t_half, t_next)
 
-    if not plan.density_pass(rho, phi):
+    rho -= plan.dt_dx * (phi[1:] - phi[:-1])
+    if not (rho > 0).all():
         rho[fl.ghosts] = _GHOST_RHO    # a non-finite pipe end reads 0 * inf
-        if not (rho > 0).all():
-            # as pipe.apply_density_update reports it
-            cell = int(np.flatnonzero((rho <= 0) | ~np.isfinite(rho))[0])
-            k, local = fl.locate(cell)
+        bad = (rho <= 0) | ~np.isfinite(rho)
+        if bad.any():
+            k, local = fl.locate(int(np.flatnonzero(bad)[0]))
             raise PositivityError(net.step_index + 1, local, net.edges[k].id)
     net.time = t_next
     net.step_index += 1

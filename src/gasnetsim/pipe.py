@@ -102,29 +102,48 @@ def friction_invert(y, a):
     """
     if (np.asarray(a) < 0).any():
         raise ValueError("friction context a must be non-negative")
-    y = np.asarray(y, dtype=float)
+    scalar = np.ndim(y) == 0 and np.ndim(a) == 0
+    y, a = np.broadcast_arrays(np.array(y, dtype=float, ndmin=1), a)
+    out = _friction_root(y.copy(), a)
+    return float(out[0]) if scalar else out
+
+
+def _friction_root(y, a):
+    """``friction_invert``'s root, without its sign check, written into
+    ``y``, a scratch array of the result's shape."""
     ay = np.abs(y)
-    out = np.sign(y) * 2.0 * ay / (1.0 + np.sqrt(1.0 + 4.0 * a * ay))
-    return float(out) if out.ndim == 0 else out
+    den = 4.0 * a * ay
+    den += 1.0
+    np.sqrt(den, out=den)
+    den += 1.0
+    np.sign(y, out=y)
+    y *= 2.0
+    y *= ay
+    y /= den
+    return y
 
 
-def face_fluxes(rho, p, phi, beta, dt: float, dt_dx):
+def face_fluxes(rho, p, phi, beta_dt, dt_dx):
     """New fluxes at the faces between consecutive cells ``rho[:-1]`` and
     ``rho[1:]``, from the faces' current fluxes ``phi`` and the cell
-    pressures ``p``; ``beta`` and ``dt_dx`` are scalars or per-face arrays.
+    pressures ``p``; ``beta_dt`` (``beta dt``) and ``dt_dx`` are scalars or
+    per-face arrays.  With positive densities and ``dt`` the friction
+    context ``a`` is non-negative, so ``friction_invert``'s check is
+    skipped.
 
     Each face decouples: with ``a = beta dt / (rho_i + rho_{i+1})`` the new
     flux solves ``x (1 + a |x|) = phi - (dt/dx)(p_{i+1} - p_i) - a phi|phi|``.
     """
-    a = beta * dt / (rho[:-1] + rho[1:])
+    a = rho[:-1] + rho[1:]
+    np.divide(beta_dt, a, out=a)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = phi - dt_dx * (p[1:] - p[:-1]) - a * phi * np.abs(phi)
-        return friction_invert(y, a)
-
-
-def first_nonfinite(values) -> int:
-    """Index of the first non-finite entry of ``values``."""
-    return int(np.flatnonzero(~np.isfinite(values))[0])
+        y = p[1:] - p[:-1]
+        y *= dt_dx
+        np.subtract(phi, y, out=y)
+        drag = a * phi
+        drag *= np.abs(phi)
+        y -= drag
+        return _friction_root(y, a)
 
 
 def interior_flux_update(state: PipeState, geom: PipeGeometry, grid: PipeGrid,
@@ -132,10 +151,11 @@ def interior_flux_update(state: PipeState, geom: PipeGeometry, grid: PipeGrid,
     """Advance the interior-face fluxes one step (``face_fluxes``) using
     current densities and the gas bound to the cells."""
     new = face_fluxes(state.rho, gas.pressure(state.rho), state.phi[1:-1],
-                      geom.beta, dt, dt / grid.dx)
+                      geom.beta * dt, dt / grid.dx)
     if not np.isfinite(new).all():
-        raise UnstableRunError(state.step_index, first_nonfinite(new) + 1,
-                               pipe_id)
+        raise UnstableRunError(
+            state.step_index, int(np.flatnonzero(~np.isfinite(new))[0]) + 1,
+            pipe_id)
     state.phi[1:-1] = new
 
 
@@ -154,26 +174,17 @@ def boundary_flux_from_density(state: PipeState, grid: PipeGrid, side: str,
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def apply_density_update(rho, flux_jump, dt_dx) -> int | None:
-    """``rho -= dt_dx * flux_jump`` in place, where ``flux_jump`` is each
-    cell's right-face minus left-face flux.  Returns the first cell whose
-    density is no longer positive (NaN included), or None."""
-    rho -= dt_dx * flux_jump
-    if (rho > 0).all():
-        return None
-    bad = rho <= 0
-    if not np.all(np.isfinite(rho)):
-        bad = bad | ~np.isfinite(rho)
-    return int(np.flatnonzero(bad)[0])
-
-
 def density_update(state: PipeState, grid: PipeGrid, dt: float,
                    pipe_id: str = "") -> None:
     """Advance densities one step from the face fluxes; advances time."""
-    cell = apply_density_update(state.rho, state.phi[1:] - state.phi[:-1],
-                                dt / grid.dx)
-    if cell is not None:
-        raise PositivityError(state.step_index + 1, cell, pipe_id)
+    rho = state.rho
+    rho -= dt / grid.dx * (state.phi[1:] - state.phi[:-1])
+    if not (rho > 0).all():
+        bad = rho <= 0
+        if not np.all(np.isfinite(rho)):
+            bad = bad | ~np.isfinite(rho)
+        raise PositivityError(state.step_index + 1,
+                              int(np.flatnonzero(bad)[0]), pipe_id)
     state.step_index += 1
     state.time += dt
 

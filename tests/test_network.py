@@ -392,6 +392,27 @@ class TestFlatStep:
             network_step(net, 1.0)
         assert err.value.face == 3 and err.value.step == 1
 
+    def test_a_non_finite_face_leaves_the_state_as_it_was(self):
+        net = chain_network()
+        network_step(net, 1.0)
+        net.edge("m").state.phi[3] = np.inf
+        before = states_of(net)
+        with pytest.raises(UnstableRunError):
+            network_step(net, 1.0)
+        for (rho, phi), (rho_b, phi_b) in zip(states_of(net), before):
+            assert np.array_equal(rho, rho_b) and np.array_equal(phi, phi_b)
+        assert net.step_index == 1
+
+    @pytest.mark.parametrize("bound", [False, True],
+                             ids=["before-binding", "bound"])
+    def test_a_negative_density_is_refused(self, bound):
+        net = chain_network()
+        if bound:
+            network_step(net, 1.0)
+        net.edge("m").state.rho[4] = -1.0
+        with pytest.raises(ValueError, match="density must be non-negative"):
+            network_step(net, 1.0)
+
     def test_drained_cell_names_pipe_and_local_cell(self):
         net = chain_network()
         network_step(net, 1.0)
