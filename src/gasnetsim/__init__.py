@@ -8,8 +8,8 @@ from .errors import (CflViolationError, ConfigError, InfeasibleNodeError,
                      UnstableRunError)
 from .network import (DemandBC, Network, Node, PipeEdge, SlackBC,
                       flow_balance_residual, network_step)
-from .pipe import (DensityBC, FluxBC, PipeGeometry, PipeGrid, PipeState,
-                   PressureBC, cfl_max_dt, density_update, friction_invert,
+from .pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState, PressureBC,
+                   cfl_max_dt, density_update, friction_invert,
                    interior_flux_update, step, total_mass)
 from .profiles import (Constant, Harmonic, PiecewiseLinear, StepSequence,
                        TimeProfile, profile_from_config)

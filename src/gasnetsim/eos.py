@@ -21,7 +21,7 @@ across concurrent runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,11 +149,10 @@ class CngaGas:
         self.rt = rt
 
     @classmethod
-    def from_temperature(cls, temperature, gravity: float = DEFAULT_GRAVITY,
-                         constants: GasConstants | None = None) -> "CngaGas":
+    def from_temperature(cls, temperature,
+                         gravity: float = DEFAULT_GRAVITY) -> "CngaGas":
         """Derive the fit pair from temperature and gas gravity."""
-        constants = replace(constants or GasConstants(), gravity=gravity)
-        b1, b2 = cnga_coefficients(temperature, constants)
+        b1, b2 = cnga_coefficients(temperature, GasConstants(gravity=gravity))
         rt = gas_constant_from_gravity(gravity) * temperature
         return cls(b1=b1, b2=b2, rt=rt)
 
@@ -178,7 +177,8 @@ class CngaGas:
     def pressure(self, rho):
         _check_nonnegative(rho, "density")
         rtrho = self.rt * rho
-        return 2.0 * rtrho / (self.b1 + np.sqrt(self.b1 ** 2 + 4.0 * self.b2 * rtrho))
+        return 2.0 * rtrho / (self.b1 + np.sqrt(self.b1 * self.b1 +
+                                                4.0 * self.b2 * rtrho))
 
     def compressibility(self, p):
         _check_nonnegative(p, "pressure")
@@ -216,12 +216,10 @@ class NonIsothermalCnga:
 
     profile: TemperatureProfile
     gravity: float = DEFAULT_GRAVITY
-    constants: GasConstants | None = None
 
     def __post_init__(self):
         # bound once: ``at`` runs on every right-hand side of a steady ODE
-        object.__setattr__(self, "_fit", replace(
-            self.constants or GasConstants(), gravity=self.gravity))
+        object.__setattr__(self, "_fit", GasConstants(gravity=self.gravity))
         object.__setattr__(self, "_r_gas",
                            gas_constant_from_gravity(self.gravity))
 

@@ -158,11 +158,11 @@ class Network:
     the states are bound afresh.
     """
 
-    def __init__(self, nodes, edges, eos, time: float = 0.0):
+    def __init__(self, nodes, edges, eos):
         self.nodes = list(nodes)
         self.edges = list(edges)
         self.eos = eos
-        self.time = time
+        self.time = 0.0
         self.step_index = 0
         problems = graph_violations([(n.id, n.is_slack) for n in self.nodes],
                                     [(e.id, e.from_node, e.to_node)
@@ -327,6 +327,8 @@ class _FlatLayout:
         self.dx = per_cell([e.grid.dx for e in edges], math.inf)
 
         gases = [e.gas for e in edges]
+        # a gas shared by every cell stays scalar only for speed: per-cell
+        # copies of its coefficients give the same bits, at more cost
         shared = gases[0] if all(g is gases[0] for g in gases) and \
             gases[0][0] is gases[0] else None
         coefficients = [per_cell([getattr(g, c) for g in gases], ghost)

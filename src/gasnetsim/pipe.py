@@ -218,28 +218,21 @@ class FluxBC:
         state.phi[0 if side == LEFT else -1] = value
 
 
-class DensityBC:
-    """Prescribed boundary density, imposed via the mass-conservation
-    back-solve at the boundary cell."""
+class PressureBC:
+    """Prescribed boundary pressure; converted to density through the gas
+    of the boundary cell and imposed via the mass-conservation back-solve
+    at that cell."""
 
     def __init__(self, profile):
         self.profile = profile
 
     def target_density(self, state, grid, gas, side, dt):
-        return self.profile(state.time + dt)
+        end_gas = gas[0 if side == LEFT else -1]
+        return end_gas.density(self.profile(state.time + dt))
 
     def apply(self, state, geom, grid, gas, side, dt):
         rho_t = self.target_density(state, grid, gas, side, dt)
         boundary_flux_from_density(state, grid, side, rho_t, dt)
-
-
-class PressureBC(DensityBC):
-    """Prescribed boundary pressure; converted to density through the gas
-    of the boundary cell."""
-
-    def target_density(self, state, grid, gas, side, dt):
-        end_gas = gas[0 if side == LEFT else -1]
-        return end_gas.density(self.profile(state.time + dt))
 
 
 def step(state: PipeState, geom: PipeGeometry, grid: PipeGrid, gas,

@@ -40,12 +40,10 @@ class TimeProfile:
             raise ValueError("period must be positive and finite")
         self.period = period
 
-    def evaluate(self, t: float) -> float:
+    def __call__(self, t: float) -> float:
         if self.period is not None:
             t = t % self.period
         return self._value(t)
-
-    __call__ = evaluate
 
     def _value(self, t: float) -> float:
         raise NotImplementedError

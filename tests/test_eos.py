@@ -121,6 +121,17 @@ def test_ideal_gas_is_the_b2_zero_cnga_exactly():
         CngaGas(b2=-1e-9)
 
 
+def test_scalar_and_per_cell_gas_agree_bitwise():
+    # the flat network layout binds a shared gas as scalars and any other
+    # as per-cell arrays; the two forms must give the same bits
+    b1, b2, rt = 1.226889791275418, DEFAULT_B2, DEFAULT_RT
+    rho = np.geomspace(1e-3, 200.0, 1000)
+    scalar = CngaGas(b1=b1, b2=b2, rt=rt)
+    cells = CngaGas(*(np.full(rho.size, c) for c in (b1, b2, rt)))
+    assert np.array_equal(scalar.pressure(rho), cells.pressure(rho))
+    assert np.array_equal(scalar.wave_speed_sq(rho), cells.wave_speed_sq(rho))
+
+
 def test_pressure_strictly_increasing():
     model = CngaGas()
     rho = np.linspace(1e-3, 200.0, 1000)

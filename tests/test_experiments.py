@@ -61,9 +61,10 @@ class TestL2Error:
         fine_faces[::3] = coarse_faces
         assert l2_error(coarse_faces, fine_faces, 1.0) == 0.0
 
-    def test_incompatible_grids_rejected(self):
+    @pytest.mark.parametrize("n_a,n_b", [(10, 25), (1, 3), (0, 3)])
+    def test_incompatible_grids_rejected(self, n_a, n_b):
         with pytest.raises(ValueError, match="incompatible"):
-            l2_error(np.zeros(10), np.zeros(25), 1.0)
+            l2_error(np.zeros(n_a), np.zeros(n_b), 1.0)
 
 
 class TestConvergenceStudy:
