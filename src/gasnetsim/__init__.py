@@ -1,8 +1,7 @@
 """Explicit staggered-grid transient simulator for gas pipeline networks."""
 
-from .eos import (CngaGas, GasConstants, IdealGas, NonIsothermalCnga,
-                  TemperatureProfile, cnga_coefficients,
-                  gas_constant_from_gravity, make_eos)
+from .eos import (CngaGas, IdealGas, NonIsothermalCnga, TemperatureProfile,
+                  cnga_coefficients, gas_constant_from_gravity, make_eos)
 from .errors import (CflViolationError, ConfigError, InfeasibleNodeError,
                      PositivityError, SimulationError, SteadyStateError,
                      UnstableRunError)

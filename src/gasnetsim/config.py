@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .eos import make_eos
+from .eos import EOS_KEYS, make_eos
 from .errors import ConfigError
 from .network import DemandBC, Network, Node, PipeEdge, SlackBC, \
     cell_count_violation, graph_violations, grid_for_length
@@ -36,20 +36,6 @@ from .pipe import PipeGeometry
 from .profiles import profile_from_config
 
 SCHEMA_VERSION = "v1"
-
-_EOS_REQUIRED = {
-    "ideal": {"wave_speed"},
-    "cnga": set(),
-    "cnga_detailed": {"t_kelvin", "gas_gravity"},
-    "cnga_nonisothermal": {"t_ambient", "t_jump", "decay_rate",
-                           "gas_gravity"},
-}
-_EOS_OPTIONAL = {
-    "ideal": set(),
-    "cnga": {"b1", "b2", "rt"},
-    "cnga_detailed": set(),
-    "cnga_nonisothermal": set(),
-}
 
 
 @dataclass
@@ -192,17 +178,20 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
     if not isinstance(eos_cfg, dict) or "kind" not in eos_cfg:
         problems.append("eos: must be an object with a 'kind'")
     elif not isinstance(eos_cfg["kind"], str) or \
-            eos_cfg["kind"] not in _EOS_REQUIRED:
+            eos_cfg["kind"] not in EOS_KEYS:
         problems.append(f"eos: unknown kind {eos_cfg['kind']!r}")
     else:
         kind = eos_cfg["kind"]
-        _expect_keys("eos", eos_cfg, _EOS_REQUIRED[kind] | {"kind"},
-                     _EOS_OPTIONAL[kind], problems, strict)
-        try:
-            make_eos(kind, **{k: v for k, v in eos_cfg.items()
-                              if k != "kind"})
-        except (ValueError, KeyError, TypeError) as exc:
-            problems.append(f"eos: invalid parameters ({exc})")
+        required, optional = EOS_KEYS[kind]
+        _expect_keys("eos", eos_cfg, required | {"kind"}, optional,
+                     problems, strict)
+        # a missing required key is listed once, not again by make_eos
+        if required <= eos_cfg.keys():
+            try:
+                make_eos(kind, **{k: v for k, v in eos_cfg.items()
+                                  if k != "kind"})
+            except (ValueError, TypeError) as exc:
+                problems.append(f"eos: invalid parameters ({exc})")
 
     nodes = _objects(doc, "nodes", problems)
     for label, nd in nodes:

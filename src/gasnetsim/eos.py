@@ -36,55 +36,42 @@ DEFAULT_B2 = 2.96848838e-8         # 1/Pa
 DEFAULT_RT = 1.368207e5            # J/kg
 DEFAULT_GRAVITY = 0.650784         # 80% methane / 20% ethane mix
 
+# Compressibility fit Z = 1/(1 + a1 (14.7 + p/6894.75729) 10^(a2 G)
+# / (1.8 T)**a3) with p in Pa, T in K and G the gas gravity (air = 1): the
+# only place imperial units appear (psi, and degrees Rankine as 1.8 T)
+FIT_A1 = 344400.0
+FIT_A2 = 1.785
+FIT_A3 = 3.825
+ATMOSPHERE_PSI = 14.7
+PA_PER_PSI = 6894.75729
 
-@dataclass(frozen=True)
-class GasConstants:
-    """Empirical compressibility-fit constants.
 
-    ``a1, a2, a3`` are the dimensionless fit coefficients, ``gravity`` the
-    gas gravity (air = 1).  The derived constants fold the psi/Rankine unit
-    conversions into SI: ``c2`` is atmospheric pressure in psi and ``c3``
-    the Pa-per-psi conversion, so this class is the only place imperial
-    units appear.
-    """
-
-    a1: float = 344400.0
-    a2: float = 1.785
-    a3: float = 3.825
-    gravity: float = DEFAULT_GRAVITY
-    c2: float = 14.7
-    c3: float = 6894.75729
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "gravity", "c2", "c3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"GasConstants.{name} must be positive")
-
-    @property
-    def c1(self) -> float:
-        return self.a1 * 10.0 ** (self.a2 * self.gravity) / 1.8 ** self.a3
+def _check_gravity(gravity):
+    if not 0 < gravity < math.inf:     # rejects NaN too
+        raise ValueError(f"gas gravity must be positive and finite, "
+                         f"got {gravity}")
 
 
 def gas_constant_from_gravity(gravity: float) -> float:
     """Specific gas constant R_g in J/(kg K) for a given gas gravity."""
-    if gravity <= 0:
-        raise ValueError(f"gas gravity must be positive, got {gravity}")
+    _check_gravity(gravity)
     return UNIVERSAL_GAS_CONSTANT / (AIR_MOLAR_MASS * gravity)
 
 
-def cnga_coefficients(temperature, constants: GasConstants | None = None):
+def cnga_coefficients(temperature, gravity: float = DEFAULT_GRAVITY):
     """Compressibility-fit coefficients ``(b1, b2)`` at a temperature in K.
 
     The factor is approximated as ``Z = 1/(b1 + b2 p)`` with ``p`` in Pa:
-    ``b1 = 1 + c1 c2 / T**a3`` and ``b2 = c1 / (c3 T**a3)``.
+    ``b1 = 1 + 14.7 c1 / T**a3``, ``b2 = c1 / (6894.75729 T**a3)``.
     """
+    _check_gravity(gravity)
     temperature = np.asarray(temperature, dtype=float)
     if not np.all(temperature > 0):
         raise ValueError("temperature must be positive")
-    constants = constants or GasConstants()
-    t_pow = temperature ** constants.a3
-    b1 = 1.0 + constants.c1 * constants.c2 / t_pow
-    b2 = constants.c1 / (constants.c3 * t_pow)
+    c1 = FIT_A1 * 10.0 ** (FIT_A2 * gravity) / 1.8 ** FIT_A3
+    t_pow = temperature ** FIT_A3
+    b1 = 1.0 + c1 * ATMOSPHERE_PSI / t_pow
+    b2 = c1 / (PA_PER_PSI * t_pow)
     if b1.ndim == 0:
         return float(b1), float(b2)
     return b1, b2
@@ -152,9 +139,10 @@ class CngaGas:
     def from_temperature(cls, temperature,
                          gravity: float = DEFAULT_GRAVITY) -> "CngaGas":
         """Derive the fit pair from temperature and gas gravity."""
-        b1, b2 = cnga_coefficients(temperature, GasConstants(gravity=gravity))
-        rt = gas_constant_from_gravity(gravity) * temperature
-        return cls(b1=b1, b2=b2, rt=rt)
+        gas = object.__new__(cls)    # the fit functions check the inputs
+        gas.b1, gas.b2 = cnga_coefficients(temperature, gravity)
+        gas.rt = gas_constant_from_gravity(gravity) * temperature
+        return gas
 
     def at(self, x) -> "CngaGas":
         """The gas at positions ``x``: the same everywhere."""
@@ -218,25 +206,26 @@ class NonIsothermalCnga:
     gravity: float = DEFAULT_GRAVITY
 
     def __post_init__(self):
-        # bound once: ``at`` runs on every right-hand side of a steady ODE
-        object.__setattr__(self, "_fit", GasConstants(gravity=self.gravity))
-        object.__setattr__(self, "_r_gas",
-                           gas_constant_from_gravity(self.gravity))
+        _check_gravity(self.gravity)
 
     def at(self, x) -> CngaGas:
         """The gas with ``from_temperature``'s fit at ``T(x)``."""
-        temperature = self.profile.temperature(x)
-        # the fit of a temperature that cnga_coefficients accepts is a valid
-        # gas, so skip CngaGas.__init__'s checks as __getitem__ does
-        gas = object.__new__(CngaGas)
-        gas.b1, gas.b2 = cnga_coefficients(temperature, self._fit)
-        gas.rt = self._r_gas * temperature
-        return gas
+        return CngaGas.from_temperature(self.profile.temperature(x),
+                                        self.gravity)
+
+
+# each kind's (required, optional) config keys: the one list of them
+EOS_KEYS = {
+    "ideal": ({"wave_speed"}, set()),
+    "cnga": (set(), {"b1", "b2", "rt"}),
+    "cnga_detailed": ({"t_kelvin", "gas_gravity"}, set()),
+    "cnga_nonisothermal": ({"t_ambient", "t_jump", "decay_rate",
+                            "gas_gravity"}, set()),
+}
 
 
 def make_eos(kind: str, **params):
-    """Build an EoS model from config-style keyword parameters."""
-    kind = kind.lower()
+    """Build an EoS model from the ``EOS_KEYS[kind]`` config parameters."""
     if kind == "ideal":
         return IdealGas(wave_speed=params["wave_speed"])
     if kind == "cnga":
@@ -244,13 +233,10 @@ def make_eos(kind: str, **params):
                        b2=params.get("b2", DEFAULT_B2),
                        rt=params.get("rt", DEFAULT_RT))
     if kind == "cnga_detailed":
-        return CngaGas.from_temperature(
-            temperature=params["t_kelvin"],
-            gravity=params.get("gas_gravity", DEFAULT_GRAVITY))
+        return CngaGas.from_temperature(params["t_kelvin"],
+                                        params["gas_gravity"])
     if kind == "cnga_nonisothermal":
-        profile = TemperatureProfile(ambient=params["t_ambient"],
-                                     jump=params.get("t_jump", 0.0),
-                                     decay_rate=params.get("decay_rate", 0.0))
-        return NonIsothermalCnga(profile,
-                                 gravity=params.get("gas_gravity", DEFAULT_GRAVITY))
+        profile = TemperatureProfile(params["t_ambient"], params["t_jump"],
+                                     params["decay_rate"])
+        return NonIsothermalCnga(profile, params["gas_gravity"])
     raise ValueError(f"unknown eos kind {kind!r}")

@@ -382,9 +382,10 @@ def run_traveling_wave(n_cells: int, n_steps: int) -> dict:
 # ---------------------------------------------------------------------------
 # fast / slow transient and temperature studies
 
-def _transient_eos(kind: str):
+def _study_eos(kind: str, ideal_wave_speed: float):
+    """A study's gas: ideal at ``ideal_wave_speed``, or the nominal CNGA."""
     if kind == "ideal":
-        return IdealGas(IDEAL_WAVE_SPEED)
+        return IdealGas(ideal_wave_speed)
     if kind == "cnga":
         return CngaGas()
     raise ValueError(f"eos must be 'ideal' or 'cnga', got {kind!r}")
@@ -399,7 +400,7 @@ def run_fast_transient(eos_kind: str = "cnga", dx: float = 100.0,
     Outlet flux: 0 for the first 10 min, 1200 kg/(m2 s) until 30 min, then
     120 kg/(m2 s).
     """
-    eos = _transient_eos(eos_kind)
+    eos = _study_eos(eos_kind, IDEAL_WAVE_SPEED)
     geom = PipeGeometry(length=20e3, diameter=0.9144, friction=0.01)
     grid = grid_for_length(geom.length, dx)
     p0 = 6.5e6
@@ -429,7 +430,7 @@ def run_slow_transient(eos_kind: str = "cnga", dx: float = 500.0,
     The inlet pressure oscillates 25% around 6.5 MPa with a 12 h period
     (time scale 6 h); the run covers ``n_periods`` periods.
     """
-    eos = _transient_eos(eos_kind)
+    eos = _study_eos(eos_kind, IDEAL_WAVE_SPEED)
     geom = PipeGeometry(length=50e3, diameter=0.9144, friction=0.01)
     grid = grid_for_length(geom.length, dx)
     p0, phi0 = 6.5e6, 240.0
@@ -559,13 +560,7 @@ def run_five_node_network(eos_kind: str = "cnga", dx_target: float = 62.5,
     initialized from its own steady solve.  ``dt=None`` takes 0.9 of the
     stability bound at the steady state.
     """
-    if eos_kind == "ideal":
-        eos = IdealGas(WAVE_SPEED_REF)
-    elif eos_kind == "cnga":
-        eos = CngaGas()
-    else:
-        raise ValueError(f"eos must be 'ideal' or 'cnga', got {eos_kind!r}")
-    net = five_node_network(eos, dx_target)
+    net = five_node_network(_study_eos(eos_kind, WAVE_SPEED_REF), dx_target)
     steady = solve_steady_state(net, t0=0.0)
     steady.populate(net, t0=0.0)
     if dt is None:

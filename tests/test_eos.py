@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from gasnetsim.eos import (CngaGas, GasConstants, IdealGas, NonIsothermalCnga,
+from gasnetsim.eos import (CngaGas, IdealGas, NonIsothermalCnga,
                            TemperatureProfile, cnga_coefficients,
                            gas_constant_from_gravity, make_eos,
                            DEFAULT_B1, DEFAULT_B2, DEFAULT_RT,
-                           DEFAULT_GRAVITY)
+                           DEFAULT_GRAVITY, FIT_A1, FIT_A2, FIT_A3)
 
 T_REF = 288.706
 
 
 def test_cnga_coefficients_match_benchmark_fit():
-    b1, b2 = cnga_coefficients(T_REF, GasConstants(gravity=DEFAULT_GRAVITY))
+    b1, b2 = cnga_coefficients(T_REF, DEFAULT_GRAVITY)
     assert b1 == pytest.approx(1.00300865, rel=1e-2)
     assert b2 == pytest.approx(2.96848838e-8, rel=1e-2)
 
@@ -27,9 +27,8 @@ def test_cnga_coefficients_ideal_limit():
 def test_cnga_coefficient_forms_agree():
     # the folded c1/c2/c3 coefficients must reproduce the raw formula
     # 1/(1 + a1 (14.7 + p/6894.75729) 10^(a2 G) / (1.8 T)^a3) exactly
-    const = GasConstants()
-    a1, a2, a3, g = const.a1, const.a2, const.a3, const.gravity
-    b1, b2 = cnga_coefficients(T_REF, const)
+    a1, a2, a3, g = FIT_A1, FIT_A2, FIT_A3, DEFAULT_GRAVITY
+    b1, b2 = cnga_coefficients(T_REF, g)
     for p in np.geomspace(1e4, 2e7, 50):
         z_raw = 1.0 / (1.0 + a1 * (14.7 + p / 6894.75729) * 10 ** (a2 * g)
                        / (1.8 * T_REF) ** a3)
