@@ -185,12 +185,16 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
         required, optional = EOS_KEYS[kind]
         _expect_keys("eos", eos_cfg, required | {"kind"}, optional,
                      problems, strict)
-        # a missing required key is listed once, not again by make_eos
-        if required <= eos_cfg.keys():
+        bad = [key for key in sorted((required | optional) & eos_cfg.keys())
+               if not _is_number(eos_cfg[key])]
+        problems += [f"eos: {key} must be a finite number" for key in bad]
+        # build only from every required key, each a number, so that a
+        # missing or bad key is listed once
+        if not bad and required <= eos_cfg.keys():
             try:
                 make_eos(kind, **{k: v for k, v in eos_cfg.items()
                                   if k != "kind"})
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 problems.append(f"eos: invalid parameters ({exc})")
 
     nodes = _objects(doc, "nodes", problems)
@@ -250,6 +254,10 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
                 problems.append(f"simulation: {key} must be positive")
         if sd.get("dt") is not None and not _is_positive(sd["dt"]):
             problems.append("simulation: dt must be positive or null")
+        path = sd.get("output_path", "out")
+        if not (isinstance(path, str) and path):
+            problems.append("simulation: output_path must be a non-empty "
+                            "string")
         safety = sd.get("cfl_safety", 0.9)
         if not (_is_number(safety) and 0 < safety <= 1):
             problems.append("simulation: cfl_safety must be in (0, 1]")
@@ -280,7 +288,7 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
             dt=None if sd.get("dt") is None else float(sd["dt"]),
             cfl_safety=float(sd.get("cfl_safety", 0.9)),
             output_cadence=float(sd.get("output_cadence", 60.0)),
-            output_path=str(sd.get("output_path", "out"))),
+            output_path=sd.get("output_path", "out")),
         version=doc["version"])
 
 

@@ -11,6 +11,7 @@ from gasnetsim import cli
 from gasnetsim.cli import main
 from gasnetsim.config import (build_network, config_sha, load_config,
                               parse_config, save_config)
+from gasnetsim.eos import EOS_KEYS, make_eos
 from gasnetsim.errors import ConfigError
 from gasnetsim.experiments import MassLedger, RunResult, TimeSeriesStore
 from gasnetsim.output import CSV_HEADER, read_series, write_series
@@ -252,6 +253,17 @@ VALIDATION_ESCAPES = {
         {"pipe": "p", "side": "outlet", "ratio": {
             "type": "harmonic", "offset": 1.2, "amplitude": 1.5,
             "omega": 1e-4, "relative": True}}]),
+    "wave_speed_true": (("eos",), {"kind": "ideal", "wave_speed": True}),
+    "gravity_true": (("eos",), {
+        "kind": "cnga_detailed", "t_kelvin": 288.0, "gas_gravity": True}),
+    "wave_speed_inf": (("eos",), {"kind": "ideal",
+                                  "wave_speed": float("inf")}),
+    "rt_inf": (("eos", "rt"), float("inf")),
+    "output_path_null": (("simulation", "output_path"), None),
+    "output_path_number": (("simulation", "output_path"), 5),
+    "output_path_true": (("simulation", "output_path"), True),
+    "output_path_list": (("simulation", "output_path"), ["a"]),
+    "output_path_empty": (("simulation", "output_path"), ""),
 }
 
 
@@ -265,6 +277,47 @@ def test_validation_escapes_are_listed(path, value, tmp_path, capsys):
     config.write_text(json.dumps(doc))
     assert main(["validate", str(config)]) == 1
     assert "error: validation: " in capsys.readouterr().err
+
+
+# a valid value for every key of the EoS kind table
+EOS_VALUES = {"wave_speed": 338.25, "b1": 1.003, "b2": 3e-8, "rt": 1.368e5,
+              "t_kelvin": 280.0, "gas_gravity": 0.6, "t_ambient": 288.706,
+              "t_jump": 20.0, "decay_rate": 1e-4}
+
+
+def _eos_doc(kind, keys):
+    return _mutated(("eos",), {"kind": kind,
+                               **{key: EOS_VALUES[key] for key in keys}})
+
+
+@pytest.mark.parametrize("kind", sorted(EOS_KEYS))
+def test_eos_table_keys_validate_and_build_the_gas(kind):
+    required, optional = EOS_KEYS[kind]
+    for keys in [required] + [required | {key} for key in sorted(optional)]:
+        cfg = parse_config(_eos_doc(kind, keys), strict=True)
+        gas = make_eos(kind, **{key: EOS_VALUES[key] for key in keys})
+        assert type(build_network(cfg).eos) is type(gas)
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind in sorted(EOS_KEYS)
+                                       for key in sorted(EOS_KEYS[kind][0])])
+def test_eos_missing_key_is_listed_once(kind, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(_eos_doc(kind, EOS_KEYS[kind][0] - {key}), strict=True)
+    assert err.value.violations == [f"eos: missing keys [{key!r}]"]
+
+
+@pytest.mark.parametrize("value", [True, "x", None, [1.0], float("nan"),
+                                   float("inf")])
+def test_eos_key_that_is_no_finite_number_is_listed_once(value):
+    for kind, (required, optional) in EOS_KEYS.items():
+        for key in sorted(required | optional):
+            doc = _eos_doc(kind, required | {key})
+            doc["eos"][key] = value
+            with pytest.raises(ConfigError) as err:
+                parse_config(doc)
+            assert err.value.violations == \
+                [f"eos: {key} must be a finite number"]
 
 
 def test_negative_withdrawal_is_an_injection():

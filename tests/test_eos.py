@@ -41,6 +41,14 @@ def test_cnga_coefficients_reject_bad_temperature():
         cnga_coefficients(-5.0)
 
 
+@pytest.mark.parametrize("gravity", [0.0, -0.6, math.nan, math.inf])
+def test_fit_rejects_bad_gravity(gravity):
+    with pytest.raises(ValueError, match="gas gravity"):
+        cnga_coefficients(288.0, gravity)
+    with pytest.raises(ValueError, match="gas gravity"):
+        NonIsothermalCnga(TemperatureProfile(288.0), gravity)
+
+
 def test_compressibility_point_values():
     cnga = CngaGas()
     assert IdealGas(338.25).compressibility(1e99) == 1.0
