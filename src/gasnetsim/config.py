@@ -153,9 +153,14 @@ def _objects(doc, key, problems) -> list:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number (booleans excluded)."""
-    return isinstance(value, (int, float)) and \
-        not isinstance(value, bool) and math.isfinite(value)
+    """A finite JSON number (booleans excluded); an integer beyond the
+    float range is not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_positive(value) -> bool:

@@ -46,10 +46,22 @@ ATMOSPHERE_PSI = 14.7
 PA_PER_PSI = 6894.75729
 
 
+# above a gravity of ~169.6 the fit's factor a1 10**(a2 G) overflows a float
+MAX_FIT_GRAVITY = 169.0
+
+
 def _check_gravity(gravity):
     if not 0 < gravity < math.inf:     # rejects NaN too
         raise ValueError(f"gas gravity must be positive and finite, "
                          f"got {gravity}")
+
+
+def _check_fit_gravity(gravity):
+    _check_gravity(gravity)
+    if gravity > MAX_FIT_GRAVITY:
+        raise ValueError(f"gas gravity {gravity} is beyond the "
+                         f"compressibility fit's domain (at most "
+                         f"{MAX_FIT_GRAVITY:g})")
 
 
 def gas_constant_from_gravity(gravity: float) -> float:
@@ -64,7 +76,7 @@ def cnga_coefficients(temperature, gravity: float = DEFAULT_GRAVITY):
     The factor is approximated as ``Z = 1/(b1 + b2 p)`` with ``p`` in Pa:
     ``b1 = 1 + 14.7 c1 / T**a3``, ``b2 = c1 / (6894.75729 T**a3)``.
     """
-    _check_gravity(gravity)
+    _check_fit_gravity(gravity)
     temperature = np.asarray(temperature, dtype=float)
     if not np.all(temperature > 0):
         raise ValueError("temperature must be positive")
@@ -206,7 +218,7 @@ class NonIsothermalCnga:
     gravity: float = DEFAULT_GRAVITY
 
     def __post_init__(self):
-        _check_gravity(self.gravity)
+        _check_fit_gravity(self.gravity)
 
     def at(self, x) -> CngaGas:
         """The gas with ``from_temperature``'s fit at ``T(x)``."""

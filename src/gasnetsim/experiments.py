@@ -22,7 +22,7 @@ from . import pipe as pipe_ops
 from .config import build_network, load_config
 from .eos import CngaGas, IdealGas, NonIsothermalCnga, TemperatureProfile
 from .errors import CflViolationError, ConfigError, SimulationError
-from .network import Network, grid_for_length, network_step, node_arrays
+from .network import Network, _node_arrays, grid_for_length, network_step
 from .pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState, PressureBC,
                    face_velocity, uniform_state)
 from .profiles import Constant, Harmonic, StepSequence
@@ -526,6 +526,8 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
     ledger on the cadence.  The step must satisfy the stability bound.
     With a ``writer``, each sample's rows stream to it and the result's
     store keeps only the last sample's rows."""
+    # bound once here; network_step checks the binding before each step,
+    # and nothing between a step and its ledger or sample can replace a state
     net.require_states()
     keys = [("node", n.id, name) for n in net.nodes
             for name in NODE_FIELDS] + \
@@ -536,15 +538,15 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
     def total_mass():
         # the sample that follows reads these masses, not a second sum
         nonlocal masses
-        masses = net.pipe_masses()
+        masses = net._pipe_masses()
         return sum(masses)
 
     def sample():
-        return np.concatenate((np.column_stack(node_arrays(net)).ravel(),
-                               net.pipe_records(masses).ravel())).tolist()
+        return np.concatenate((np.column_stack(_node_arrays(net)).ravel(),
+                               net._pipe_records(masses).ravel())).tolist()
 
     result = _march(lambda: net.time, lambda: network_step(net, dt),
-                    total_mass, net.boundary_inflow, sample, keys, dt,
+                    total_mass, net._boundary_inflow, sample, keys, dt,
                     net.cfl_max_dt(), t_end, cadence, "network", writer)
     result.summary.update(t_end=net.time, total_mass_kg=net.total_mass())
     return result

@@ -151,7 +151,10 @@ class Network:
     ``edge.state.rho``/``.phi`` is a view into them.  Each step's
     ``require_states`` binds the views, and binds them afresh, from the
     states' current values, whenever an edge's ``state``, ``state.rho`` or
-    ``state.phi`` is not the object it bound.  The network's ``time`` and
+    ``state.phi`` is not the object it bound; so do the public readers of
+    the state.  A run binds once and reads through their unchecked bodies
+    (``_pipe_masses`` and the like), since only steps, which check, run
+    between its reads.  The network's ``time`` and
     ``step_index`` are the clock of a network run; the pipe states' own
     do not advance.  The last step's nodal solve is kept for
     ``node_arrays``, and the step plan for steps at the same ``dt``, until
@@ -233,6 +236,9 @@ class Network:
         """``S dx sum(rho)`` of every pipe in edge order, each a sum over
         its own slice."""
         self.require_states()
+        return self._pipe_masses()
+
+    def _pipe_masses(self) -> list:
         add = np.add.reduce
         return [w * float(add(rho)) for w, rho in self._masses]
 
@@ -242,6 +248,9 @@ class Network:
     def boundary_inflow(self) -> float:
         """Net mass inflow rate summed pipe-locally, S (phi_0 - phi_N)."""
         self.require_states()
+        return self._boundary_inflow()
+
+    def _boundary_inflow(self) -> float:
         fl, phi = self._flat, self.phi
         return sum((fl.pipe_area * (phi[fl.first] -
                                     phi[fl.last_face])).tolist())
@@ -251,6 +260,9 @@ class Network:
         row per pipe in edge order; ``masses`` are the current state's
         ``pipe_masses()``, taken as given."""
         self.require_states()
+        return self._pipe_records(masses)
+
+    def _pipe_records(self, masses) -> np.ndarray:
         fl, rho, phi = self._flat, self.rho, self.phi
         return np.column_stack((fl.inlet_gas.pressure(rho[fl.first]),
                                 fl.outlet_gas.pressure(rho[fl.last_cell]),
@@ -380,7 +392,6 @@ class _FlatLayout:
         self.end_face = flat([e.face for _, e in ends], faces)
         self.end_inner = flat([e.inner for _, e in ends], faces)
         self.sgn = np.array([e.sgn for _, e in ends], dtype=float)
-        self.end_area = np.array([e.area for _, e in ends])
         self.end_dx = np.array([e.dx for _, e in ends])
         self.area_dx = np.array([e.area * e.dx for _, e in ends])
         self.sgn_area = np.array([e.sgn * e.area for _, e in ends])
@@ -405,11 +416,13 @@ class _FlatLayout:
         """Boost ratio of every pipe end at time ``t``."""
         return _at(self.ratios, t)
 
-    def pressures(self, t) -> np.ndarray:
-        """Nodal pressures with the slack nodes' set at time ``t``, the
-        others unset."""
+    def pressures(self, slack, solved=None) -> np.ndarray:
+        """Nodal pressures from the slack nodes' and, if given, the solved
+        nodes' values; the others unset."""
         p = np.empty(len(self.node_ids))
-        p[self.slack_nodes] = _at(self.slack_pressures, t)
+        p[self.slack_nodes] = slack
+        if solved is not None:
+            p[self.solved_nodes] = solved
         return p
 
     def locate(self, index: int) -> tuple:
@@ -419,17 +432,48 @@ class _FlatLayout:
 
 
 class _StepPlan:
-    """The dt-scaled coefficients that every step at one ``dt`` reads."""
+    """What every step at one ``dt`` over the bound states reads.
 
-    def __init__(self, fl: _FlatLayout, dt: float):
+    The dt-scaled coefficients; views of the flat state and a buffer for
+    the density increment; and each group of pipe ends' indices and
+    products, ``None`` for an empty group (the slack group never is: a
+    valid network has a slack node, with a pipe end).  The ends whose flux
+    lands their boundary cell on a target density (slack and solved, in
+    that order) are gathered together.  ``sgn dx/dt``, ``4 w v`` and a dead
+    end's ``sgn S`` scale by a sign or a power of two, so each rounds as the
+    product it replaces.
+    """
+
+    def __init__(self, net: Network, dt: float):
+        fl = net._flat
         self.dt = dt
         self.beta_dt = fl.beta * dt
         self.face_dt_dx = dt / fl.face_dx
         self.dt_dx = dt / fl.dx    # 0 at a ghost
-        self.w = fl.area_dx[fl.solved] / dt
-        u, v = fl.solved_poly
-        self.wu, self.wv = self.w * u, self.w * v
-        self.dx_dt = fl.end_dx[fl.targeted] / dt
+        self.faces = net.phi[1:-1]    # every face between two cells
+        self.upper, self.lower = net.phi[1:], net.phi[:-1]
+        self.increment = np.empty_like(net.rho)
+
+        t = fl.targeted
+        self.cell, self.inner = fl.end_cell[t], fl.end_inner[t]
+        self.face = fl.end_face[t]
+        self.sgn_dx_dt = fl.sgn[t] * (fl.end_dx[t] / dt)
+        # each slack end's node among the slack nodes: none to gather when
+        # every slack node has one end
+        self.slack_pos = None if fl.slack.stop == fl.slack_nodes.size \
+            else np.searchsorted(fl.slack_nodes, fl.end_node[fl.slack])
+        self.solved = self.dead_face = None
+        m, k = fl.solved, fl.solved_nodes.size
+        if k:
+            # (each end's node, node count, sgn S, w, w u, 4 w v)
+            w = fl.area_dx[m] / dt
+            u, v = fl.solved_poly
+            self.solved = (fl.solved_pos, k, fl.sgn_area[m], w, w * u,
+                           4.0 * (w * v))
+        d = fl.dead
+        if d.stop > d.start:
+            self.dead_face = fl.end_face[d]
+            self.dead_sgn_area = fl.sgn_area[d]
 
 
 def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
@@ -440,9 +484,10 @@ def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
     where ``w_k = S_k dx_k / dt``, ``inflow = sum_k sgn_k S_k phi_k-`` and
     each end's density map is the quadratic ``rho(p) = u p + v p**2``.
     ``network_step`` solves every demand node this way at once; this scalar
-    form is the reference it is tested against.
+    form, whose sums run in incidence order as the step's do, is the
+    reference it is tested against bit for bit.
     """
-    rhs = float(np.dot(weights, rho_ends)) - q + inflow
+    rhs = sum(w * rho for w, rho in zip(weights, rho_ends)) - q + inflow
     if rhs < 0.0:
         raise InfeasibleNodeError(node_id, f"balance rhs {rhs:g} < 0")
     a = sum(w * v * al * al for w, al, (u, v) in zip(weights, alphas, polys))
@@ -465,43 +510,43 @@ def _nodal_phase(net: Network, plan: _StepPlan, t_half, t_next):
     A slack node's ends land their boundary cells on the boosted nodal
     pressure; a dead end carries the withdrawal; every other demand node
     solves ``nodal_pressure_solve``'s quadratic, all nodes at once.
-    Returns the ends' boost ratios and the nodal pressures at ``t_next``,
-    dead-end nodes left unset.
+    Returns the ends' boost ratios and the slack and solved nodes'
+    pressures at ``t_next`` (``None`` for no solved node).
     """
     fl, rho, phi = net._flat, net.rho, net.phi
     alpha = fl.alphas(t_next)
-    p = fl.pressures(t_next)
+    p_slack = _at(fl.slack_pressures, t_next)
     q = _at(fl.withdrawals, t_half)
-    rho_t = np.empty(fl.targeted.stop)
-    s = fl.slack
-    rho_t[s] = fl.slack_gas.density(alpha[s] * p[fl.end_node[s]])
+    rho_end, phi_inner = rho[plan.cell], phi[plan.inner]
+    p_ends = p_slack if plan.slack_pos is None else p_slack[plan.slack_pos]
+    rho_t = fl.slack_gas.density(alpha[fl.slack] * p_ends)
 
-    m, pos, k = fl.solved, fl.solved_pos, fl.solved_nodes.size
-    al = alpha[m]
-    u, v = fl.solved_poly
-    rhs = np.bincount(pos, plan.w * rho[fl.end_cell[m]], k) - q[:k] + \
-        np.bincount(pos, fl.sgn_area[m] * phi[fl.end_inner[m]], k)
-    a = np.bincount(pos, plan.wv * al * al, k)
-    b = np.bincount(pos, plan.wu * al, k)
-    bad = (rhs < 0.0) | (b <= 0.0)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise InfeasibleNodeError(
-            fl.node_ids[fl.solved_nodes[i]],
-            f"balance rhs {rhs[i]:g} < 0" if rhs[i] < 0.0
-            else "degenerate density map")
-    p_solved = 2.0 * rhs / (b + np.sqrt(b * b + 4.0 * a * rhs))
-    p[fl.solved_nodes] = p_solved
-    p_end = al * p_solved[pos]
-    rho_t[m] = u * p_end + v * p_end ** 2
+    k, p_solved = 0, None
+    if plan.solved is not None:
+        pos, k, sgn_area, w, wu, wv4 = plan.solved
+        m = fl.solved
+        al = alpha[m]
+        rhs = np.bincount(pos, w * rho_end[m], k) - q[:k] + \
+            np.bincount(pos, sgn_area * phi_inner[m], k)
+        a4 = np.bincount(pos, wv4 * al * al, k)
+        b = np.bincount(pos, wu * al, k)
+        # fmin skips NaN, as the comparisons of the mask below do
+        if np.fmin.reduce(rhs) < 0.0 or np.fmin.reduce(b) <= 0.0:
+            i = int(np.flatnonzero((rhs < 0.0) | (b <= 0.0))[0])
+            raise InfeasibleNodeError(
+                fl.node_ids[fl.solved_nodes[i]],
+                f"balance rhs {rhs[i]:g} < 0" if rhs[i] < 0.0
+                else "degenerate density map")
+        p_solved = 2.0 * rhs / (b + np.sqrt(b * b + a4 * rhs))
+        p_end = al * p_solved[pos]
+        u, v = fl.solved_poly
+        rho_t = np.concatenate((rho_t, u * p_end + v * p_end ** 2))
 
     # the boundary flux that lands each boundary cell on its target density
-    t = fl.targeted
-    phi[fl.end_face[t]] = phi[fl.end_inner[t]] - fl.sgn[t] * (
-        plan.dx_dt * (rho_t - rho[fl.end_cell[t]]))
-    d = fl.dead
-    phi[fl.end_face[d]] = fl.sgn[d] * (q[k:] / fl.end_area[d])
-    return alpha, p
+    phi[plan.face] = phi_inner - plan.sgn_dx_dt * (rho_t - rho_end)
+    if plan.dead_face is not None:
+        phi[plan.dead_face] = q[k:] / plan.dead_sgn_area
+    return alpha, p_slack, p_solved
 
 
 def network_step(net: Network, dt: float) -> None:
@@ -519,7 +564,7 @@ def network_step(net: Network, dt: float) -> None:
     net.require_states()
     plan = net._plan
     if plan is None or plan.dt != dt:
-        plan = net._plan = _StepPlan(net._flat, dt)
+        plan = net._plan = _StepPlan(net, dt)
     t_half = net.time + 0.5 * dt
     t_next = net.time + dt
 
@@ -529,8 +574,8 @@ def network_step(net: Network, dt: float) -> None:
             raise SimulationError(
                 f"compressors at both ends of pipe {e.id} active at t={t_next}")
 
-    fl, rho, phi = net._flat, net.rho, net.phi
-    new = pipe_ops.face_fluxes(rho, fl.gas.pressure(rho), phi[1:-1],
+    fl, rho = net._flat, net.rho
+    new = pipe_ops.face_fluxes(rho, fl.gas.pressure(rho), plan.faces,
                                plan.beta_dt, plan.face_dt_dx)
     if not np.isfinite(new).all():
         # the faces beside a ghost are pipe ends, which the nodal phase sets
@@ -539,12 +584,14 @@ def network_step(net: Network, dt: float) -> None:
         if bad.any():
             k, face = fl.locate(int(np.flatnonzero(bad)[0]) + 1)
             raise UnstableRunError(net.step_index, face, net.edges[k].id)
-    phi[1:-1] = new
+    plan.faces[...] = new
 
-    alpha, p = _nodal_phase(net, plan, t_half, t_next)
+    solve = _nodal_phase(net, plan, t_half, t_next)
 
-    rho -= plan.dt_dx * (phi[1:] - phi[:-1])
-    if not (rho > 0).all():
+    increment = np.subtract(plan.upper, plan.lower, out=plan.increment)
+    increment *= plan.dt_dx
+    rho -= increment
+    if not np.minimum.reduce(rho) > 0:    # NaN fails too
         rho[fl.ghosts] = _GHOST_RHO    # a non-finite pipe end reads 0 * inf
         bad = (rho <= 0) | ~np.isfinite(rho)
         if bad.any():
@@ -552,7 +599,7 @@ def network_step(net: Network, dt: float) -> None:
             raise PositivityError(net.step_index + 1, local, net.edges[k].id)
     net.time = t_next
     net.step_index += 1
-    net._solve = alpha, p
+    net._solve = solve
 
 
 def node_records(net: Network) -> dict:
@@ -575,13 +622,18 @@ def node_arrays(net: Network) -> tuple:
     boundary cell's pressure, pulled back through that end's boost ratio.
     """
     net.require_states()
+    return _node_arrays(net)
+
+
+def _node_arrays(net: Network) -> tuple:
     fl = net._flat
     if net._solve is not None:
-        alpha, p = net._solve
+        alpha, p_slack, p_solved = net._solve
+        p = fl.pressures(p_slack, p_solved)
         nodes, ends, gas = fl.dead_report
     else:
         alpha = fl.alphas(net.time)
-        p = fl.pressures(net.time)
+        p = fl.pressures(_at(fl.slack_pressures, net.time))
         nodes, ends, gas = fl.demand_report
     p[nodes] = gas.pressure(net.rho[fl.end_cell[ends]]) / alpha[ends]
     netflow = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],

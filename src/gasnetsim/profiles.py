@@ -10,12 +10,22 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import warnings
+
+
+def _float(value) -> float:
+    """``value`` as a float, an integer beyond the float range as an
+    infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _finite(value, name) -> float:
     """``value`` as a float; raises ValueError unless it is finite."""
-    value = float(value)
+    value = _float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -36,7 +46,8 @@ class TimeProfile:
     kind = ""
 
     def __init__(self, period: float | None = None):
-        if period is not None and not 0 < period < math.inf:
+        # an integer period beyond the float range is not finite either
+        if period is not None and not 0 < period <= sys.float_info.max:
             raise ValueError("period must be positive and finite")
         self.period = period
 
@@ -177,7 +188,7 @@ class StepSequence(TimeProfile):
 
     def __init__(self, intervals, period: float | None = None):
         super().__init__(period)
-        intervals = [(float(te), _finite(v, "value")) for te, v in intervals]
+        intervals = [(_float(te), _finite(v, "value")) for te, v in intervals]
         if not intervals:
             raise ValueError("need at least one interval")
         ends = [te for te, _ in intervals]
@@ -207,7 +218,7 @@ _KINDS = {cls.kind: cls for cls in (Constant, Harmonic, PiecewiseLinear,
 def profile_from_config(cfg, strict: bool = False) -> TimeProfile:
     """Build a profile from its config dict; bare numbers mean constant."""
     if isinstance(cfg, (int, float)):
-        return Constant(float(cfg))
+        return Constant(cfg)
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ValueError(f"profile config must be a number or a dict with "
                          f"'type', got {cfg!r}")

@@ -264,6 +264,19 @@ VALIDATION_ESCAPES = {
     "output_path_true": (("simulation", "output_path"), True),
     "output_path_list": (("simulation", "output_path"), ["a"]),
     "output_path_empty": (("simulation", "output_path"), ""),
+    "gravity_200_detailed": (("eos",), {
+        "kind": "cnga_detailed", "t_kelvin": 288.0, "gas_gravity": 200.0}),
+    "gravity_200_nonisothermal": (("eos",), {
+        "kind": "cnga_nonisothermal", "t_ambient": 288.0, "t_jump": 40.0,
+        "decay_rate": 1e-3, "gas_gravity": 200.0}),
+    "length_huge_int": (("pipes", 0, "length"), 10 ** 400),
+    "withdrawal_huge_int": (("nodes", 1, "withdrawal"), 10 ** 400),
+    "profile_value_huge_int": (("nodes", 1, "withdrawal", "value"),
+                               -10 ** 400),
+    "period_huge_int": (("nodes", 1, "withdrawal", "period"), 10 ** 400),
+    "step_end_huge_int": (("nodes", 1, "withdrawal"), {
+        "type": "step_sequence", "intervals": [[10 ** 400, 1.0],
+                                               [1e9, 2.0]]}),
 }
 
 

@@ -41,7 +41,7 @@ def test_cnga_coefficients_reject_bad_temperature():
         cnga_coefficients(-5.0)
 
 
-@pytest.mark.parametrize("gravity", [0.0, -0.6, math.nan, math.inf])
+@pytest.mark.parametrize("gravity", [0.0, -0.6, math.nan, math.inf, 200.0])
 def test_fit_rejects_bad_gravity(gravity):
     with pytest.raises(ValueError, match="gas gravity"):
         cnga_coefficients(288.0, gravity)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -549,3 +551,131 @@ class TestFlatStep:
         net.edge("m").state = uniform_state(PipeGrid(10e3, 7), 50.0)
         with pytest.raises(SimulationError, match=r"fit their grids: \['m'\]"):
             network_step(net, 1.0)
+
+    @pytest.mark.parametrize("make", ["two_node", "ring", "star"])
+    def test_each_group_steps_as_the_scalar_references(self, make):
+        # a network without solved nodes (two_node, star) or without dead
+        # ends (ring) steps bit for bit as the scalar nodal references
+        net = group_networks()[make]
+        dt = 0.5 * net.cfl_max_dt()
+        for _ in range(3):
+            t0, before = net.time, states_of(net)
+            network_step(net, dt)
+            fluxes, pressures = nodal_references(net, before, t0, dt)
+            for (pipe_id, sgn), phi in fluxes.items():
+                face = -1 if sgn > 0 else 0
+                assert net.edge(pipe_id).state.phi[face] == phi, (pipe_id, sgn)
+            records = node_records(net)
+            for node_id, p in pressures.items():
+                assert records[node_id][0] == p, node_id
+
+    def test_a_negative_balance_is_named_beside_a_nan_one(self):
+        # node b's balance is NaN, which the infeasibility check skips;
+        # node c's is negative
+        net = group_networks(withdrawals={"b": lambda t: math.nan,
+                                          "c": Constant(1e9)})["ring"]
+        with pytest.raises(InfeasibleNodeError, match="node c: balance rhs"):
+            network_step(net, 0.5 * net.cfl_max_dt())
+
+    def test_a_new_step_size_or_binding_rebuilds_the_plan(self):
+        net = chain_network()
+        network_step(net, 1.0)
+        plan = net._plan
+        network_step(net, 1.0)
+        assert net._plan is plan
+        network_step(net, 0.5)
+        assert net._plan is not plan and net._plan.dt == 0.5
+        plan = net._plan
+        e = net.edge("m")
+        e.state = PipeState(e.state.rho.copy(), e.state.phi.copy())
+        network_step(net, 0.5)
+        assert net._plan is not plan
+        for view in (net._plan.faces, net._plan.upper, net._plan.lower):
+            assert view.base is net.phi
+
+    def test_ledger_reads_rebind_a_state_replaced_outside_a_run(self):
+        net = chain_network()
+        network_step(net, 1.0)
+        e = net.edge("m")
+        e.state = PipeState(2.0 * e.state.rho, e.state.phi + 5.0)
+        assert net.pipe_masses() == [
+            pipe_ops.total_mass(edge.state, edge.geometry, edge.grid)
+            for edge in net.edges]
+        assert e.state.rho.base is net.rho
+        e = net.edge("c")
+        e.state = PipeState(e.state.rho.copy(), e.state.phi - 7.0)
+        assert net.boundary_inflow() == sum(
+            pipe_ops.boundary_throughput(edge.state, edge.geometry)
+            for edge in net.edges)
+        assert e.state.phi.base is net.phi
+
+
+def group_networks(withdrawals=None):
+    """Networks that each lack a group of pipe ends: ``two_node`` and
+    ``star`` (a slack hub with one pipe into it and one out) have no solved
+    node, ``ring`` (a slack and two junctions, with an inlet compressor)
+    no dead end.  ``withdrawals`` replaces demand nodes' profiles."""
+    eos = NonIsothermalCnga(TemperatureProfile(ambient=288.706, jump=40.0,
+                                               decay_rate=1e-3))
+    withdrawals = {"b": Harmonic(offset=30.0, amplitude=10.0, omega=0.01),
+                   "c": Constant(-15.0), **(withdrawals or {})}
+    layouts = {"two_node": [("p", "a", "b")],
+               "ring": [("p", "a", "b"), ("q", "b", "c"), ("r", "c", "a")],
+               "star": [("p", "a", "b"), ("q", "c", "a")]}
+    nets = {}
+    for name, pipes in layouts.items():
+        edges = [PipeEdge(pid, frm, to, PipeGeometry(8e3 + 2e3 * k, 0.6, 0.01),
+                          PipeGrid(8e3 + 2e3 * k, 6 + k),
+                          inlet_ratio=Constant(1.1) if pid == "q" else None)
+                 for k, (pid, frm, to) in enumerate(pipes)]
+        ids = sorted({n for _, frm, to in pipes for n in (frm, to)})
+        nodes = [Node(i, SlackBC(Harmonic(offset=5e6, amplitude=1e5,
+                                          omega=0.02)) if i == "a"
+                      else DemandBC(withdrawals[i])) for i in ids]
+        net = Network(nodes, edges, eos)
+        rng = np.random.default_rng(11)
+        for e in edges:
+            n = e.grid.n_cells
+            e.state = PipeState(
+                e.gas.density(5.0e6) * rng.uniform(0.98, 1.02, n),
+                rng.uniform(-50.0, 150.0, n + 1))
+        nets[name] = net
+    return nets
+
+
+def nodal_references(net, before, t0, dt):
+    """The boundary flux of every pipe end, keyed ``(pipe id, sgn)``, and
+    the pressure of every solved node after a step from ``t0``, from the
+    scalar references: ``nodal_pressure_solve``, a dead end's
+    ``sgn (q / S)`` and ``phi_inner - sgn (dx/dt) (rho_target - rho)``,
+    given the states ``before`` the step and the interior fluxes after."""
+    t_half, t_next = t0 + 0.5 * dt, t0 + dt
+    pos = {id(e): k for k, e in enumerate(net.edges)}
+    fluxes, pressures = {}, {}
+    for node in net.nodes:
+        ends = net.incidence[node.id]
+        if not node.is_slack and len(ends) == 1:
+            end = ends[0]
+            fluxes[end.edge.id, end.sgn] = end.sgn * (
+                node.bc.withdrawal(t_half) / end.area)
+            continue
+        rho = [before[pos[id(end.edge)]][0][end.cell] for end in ends]
+        inner = [float(end.edge.state.phi[end.inner]) for end in ends]
+        alphas = [end.ratio(t_next) for end in ends]
+        if node.is_slack:
+            p = node.bc.pressure(t_next)
+            targets = [end.gas.density(al * p)
+                       for end, al in zip(ends, alphas)]
+        else:
+            polys = [end.gas.density_poly() for end in ends]
+            p = pressures[node.id] = nodal_pressure_solve(
+                [end.area * end.dx / dt for end in ends], alphas, rho, polys,
+                node.bc.withdrawal(t_half),
+                sum(end.sgn * end.area * phi for end, phi in zip(ends, inner)),
+                node.id)
+            targets = [u * (al * p) + v * ((al * p) * (al * p))
+                       for al, (u, v) in zip(alphas, polys)]
+        for end, phi, target, r in zip(ends, inner, targets, rho):
+            fluxes[end.edge.id, end.sgn] = phi - end.sgn * (
+                (end.dx / dt) * (target - r))
+    return fluxes, pressures
