@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .eos import EOS_KEYS, make_eos
 from .errors import ConfigError
@@ -90,6 +90,11 @@ class SimulationConfig:
                 "output_path": self.output_path}
 
 
+# the optional simulation keys, with the defaults declared above
+_SIMULATION_DEFAULTS = {f.name: f.default for f in fields(SimulationConfig)
+                        if f.default is not MISSING}
+
+
 @dataclass
 class NetworkConfig:
     eos: dict
@@ -119,19 +124,19 @@ def _expect_keys(section, obj, required, optional, problems, strict):
             problems.append(f"{section}: unknown keys {sorted(unknown)}")
 
 
-def _check_profile(section, cfg, problems, strict):
+def _check_profile(section, cfg, problems):
     """The profile built from ``cfg``, or None once its fault is listed."""
     try:
-        return profile_from_config(cfg, strict=strict)
+        return profile_from_config(cfg)
     except (ValueError, TypeError) as exc:
         problems.append(f"{section}: bad profile ({exc})")
         return None
 
 
-def _check_positive_profile(section, cfg, problems, strict):
+def _check_positive_profile(section, cfg, problems):
     """As ``_check_profile``, for a profile that must stay above zero (a
     slack pressure or a boost ratio)."""
-    profile = _check_profile(section, cfg, problems, strict)
+    profile = _check_profile(section, cfg, problems)
     if profile is not None and profile.minimum() <= 0:
         problems.append(f"{section}: profile must stay positive, but can "
                         f"reach {profile.minimum():g}")
@@ -213,7 +218,7 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
         elif value_key in nd:
             check = _check_positive_profile if kind == "slack" \
                 else _check_profile
-            check(label, nd[value_key], problems, strict)
+            check(label, nd[value_key], problems)
 
     pipes = _objects(doc, "pipes", problems)
     for label, pd in pipes:
@@ -245,25 +250,25 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
         else:
             seen_comp.add(key)
         if "ratio" in cd:
-            _check_positive_profile(label, cd["ratio"], problems, strict)
+            _check_positive_profile(label, cd["ratio"], problems)
 
     sd = doc.get("simulation")
     if "simulation" in doc and not isinstance(sd, dict):
         problems.append("simulation: must be an object")
     elif sd is not None:
         _expect_keys("simulation", sd, {"t_end", "dx_target"},
-                     {"dt", "cfl_safety", "output_cadence", "output_path"},
-                     problems, strict)
+                     set(_SIMULATION_DEFAULTS), problems, strict)
+        sd = {**_SIMULATION_DEFAULTS, **sd}
         for key in ("t_end", "dx_target", "output_cadence"):
             if key in sd and not _is_positive(sd[key]):
                 problems.append(f"simulation: {key} must be positive")
-        if sd.get("dt") is not None and not _is_positive(sd["dt"]):
+        if sd["dt"] is not None and not _is_positive(sd["dt"]):
             problems.append("simulation: dt must be positive or null")
-        path = sd.get("output_path", "out")
+        path = sd["output_path"]
         if not (isinstance(path, str) and path):
             problems.append("simulation: output_path must be a non-empty "
                             "string")
-        safety = sd.get("cfl_safety", 0.9)
+        safety = sd["cfl_safety"]
         if not (_is_number(safety) and 0 < safety <= 1):
             problems.append("simulation: cfl_safety must be in (0, 1]")
         if _is_positive(sd.get("dx_target")):
@@ -290,10 +295,10 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
                      for _, cd in compressors],
         simulation=None if sd is None else SimulationConfig(
             t_end=float(sd["t_end"]), dx_target=float(sd["dx_target"]),
-            dt=None if sd.get("dt") is None else float(sd["dt"]),
-            cfl_safety=float(sd.get("cfl_safety", 0.9)),
-            output_cadence=float(sd.get("output_cadence", 60.0)),
-            output_path=sd.get("output_path", "out")),
+            dt=None if sd["dt"] is None else float(sd["dt"]),
+            cfl_safety=float(sd["cfl_safety"]),
+            output_cadence=float(sd["output_cadence"]),
+            output_path=sd["output_path"]),
         version=doc["version"])
 
 
@@ -308,12 +313,6 @@ def load_config(path, strict: bool = False) -> NetworkConfig:
         raise ConfigError([f"cannot read config {path}: {exc.strerror}"]) \
             from exc
     return parse_config(doc, strict=strict)
-
-
-def save_config(cfg: NetworkConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def config_sha(cfg: NetworkConfig | dict) -> str:

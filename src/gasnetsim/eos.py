@@ -48,6 +48,8 @@ PA_PER_PSI = 6894.75729
 
 # above a gravity of ~169.6 the fit's factor a1 10**(a2 G) overflows a float
 MAX_FIT_GRAVITY = 169.0
+# at that gravity the fit's b1 = 1 + 14.7 c1 / T**a3 overflows below ~0.6 K
+MIN_FIT_TEMPERATURE = 1.0
 
 
 def _check_gravity(gravity):
@@ -64,6 +66,13 @@ def _check_fit_gravity(gravity):
                          f"{MAX_FIT_GRAVITY:g})")
 
 
+def _check_fit_temperature(coldest):
+    if not coldest >= MIN_FIT_TEMPERATURE:     # rejects NaN too
+        raise ValueError(f"temperature {coldest} K is below the "
+                         f"compressibility fit's domain (at least "
+                         f"{MIN_FIT_TEMPERATURE:g} K)")
+
+
 def gas_constant_from_gravity(gravity: float) -> float:
     """Specific gas constant R_g in J/(kg K) for a given gas gravity."""
     _check_gravity(gravity)
@@ -78,8 +87,8 @@ def cnga_coefficients(temperature, gravity: float = DEFAULT_GRAVITY):
     """
     _check_fit_gravity(gravity)
     temperature = np.asarray(temperature, dtype=float)
-    if not np.all(temperature > 0):
-        raise ValueError("temperature must be positive")
+    # the one reduction: NaN if any is NaN, inf if there are none
+    _check_fit_temperature(temperature.min(initial=math.inf))
     c1 = FIT_A1 * 10.0 ** (FIT_A2 * gravity) / 1.8 ** FIT_A3
     t_pow = temperature ** FIT_A3
     b1 = 1.0 + c1 * ATMOSPHERE_PSI / t_pow
@@ -219,6 +228,8 @@ class NonIsothermalCnga:
 
     def __post_init__(self):
         _check_fit_gravity(self.gravity)
+        ambient = self.profile.ambient      # T(x >= 0) >= the smaller end
+        _check_fit_temperature(min(ambient, ambient + self.profile.jump))
 
     def at(self, x) -> CngaGas:
         """The gas with ``from_temperature``'s fit at ``T(x)``."""

@@ -68,7 +68,5 @@ class ConfigError(ValueError):
     """Configuration failed validation; collects every violation found."""
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))

@@ -62,14 +62,12 @@ class MassLedger:
 
     times: list = field(default_factory=list)
     mass: list = field(default_factory=list)
-    cumulative_inflow: list = field(default_factory=list)
     discrepancy: list = field(default_factory=list)
 
     def sample(self, t, mass, cumulative, mass0):
         """Record a ledger point."""
         self.times.append(t)
         self.mass.append(mass)
-        self.cumulative_inflow.append(cumulative)
         self.discrepancy.append(mass - mass0 - cumulative)
 
     def max_abs_discrepancy(self) -> float:
@@ -87,29 +85,12 @@ class RunResult:
 # error metric
 
 def l2_error(field_a, field_b, dx: float) -> float:
-    """Trapezoid quadrature of the squared difference of two grid fields.
-
-    Fields must live on the same grid or on nested grids whose point counts
-    differ by an odd integer ratio (cell fields: ``n_b = r n_a``; face
-    fields: ``n_b - 1 = r (n_a - 1)``); the finer field is restricted to
-    the coincident points.  ``dx`` is the coarse spacing.
-    """
+    """Trapezoid quadrature, at spacing ``dx``, of the squared difference
+    of two fields on the same grid."""
     a = np.asarray(field_a, dtype=float)
     b = np.asarray(field_b, dtype=float)
-    if a.size > b.size:
-        a, b = b, a
-    if b.size != a.size:
-        # a field of fewer than two points nests in no grid
-        if a.size > 1 and (b.size - 1) % (a.size - 1) == 0 and \
-                (b.size - 1) // (a.size - 1) % 2 == 1:
-            r = (b.size - 1) // (a.size - 1)
-            b = b[::r]                       # face field restriction
-        elif a.size > 1 and b.size % a.size == 0 and \
-                (b.size // a.size) % 2 == 1:
-            r = b.size // a.size
-            b = b[(r - 1) // 2::r]           # cell field restriction
-        else:
-            raise ValueError(f"incompatible grids: {a.size} vs {b.size}")
+    if a.size != b.size:
+        raise ValueError(f"incompatible grids: {a.size} vs {b.size}")
     return float(trapezoid((a - b) ** 2, dx=dx))
 
 

@@ -255,14 +255,10 @@ class Network:
         return sum((fl.pipe_area * (phi[fl.first] -
                                     phi[fl.last_face])).tolist())
 
-    def pipe_records(self, masses) -> np.ndarray:
-        """``(p_in, p_out, mflow_in, mflow_out, mass)`` of every pipe, one
-        row per pipe in edge order; ``masses`` are the current state's
-        ``pipe_masses()``, taken as given."""
-        self.require_states()
-        return self._pipe_records(masses)
-
     def _pipe_records(self, masses) -> np.ndarray:
+        """``(p_in, p_out, mflow_in, mflow_out, mass)`` of every pipe, one
+        row per pipe in edge order, for a bound state; ``masses`` are its
+        ``pipe_masses()``, taken as given."""
         fl, rho, phi = self._flat, self.rho, self.phi
         return np.column_stack((fl.inlet_gas.pressure(rho[fl.first]),
                                 fl.outlet_gas.pressure(rho[fl.last_cell]),

@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import PositivityError, UnstableRunError
 
-LEFT = "left"
-RIGHT = "right"
-
 
 @dataclass(frozen=True)
 class PipeGeometry:
@@ -159,21 +156,6 @@ def interior_flux_update(state: PipeState, geom: PipeGeometry, grid: PipeGrid,
     state.phi[1:-1] = new
 
 
-def boundary_flux_from_density(state: PipeState, grid: PipeGrid, side: str,
-                               rho_target: float, dt: float) -> float:
-    """Set a boundary-face flux so the next density update lands the
-    boundary cell exactly on ``rho_target``.  Interior faces must already be
-    at the new half layer."""
-    r = grid.dx / dt
-    if side == LEFT:
-        state.phi[0] = state.phi[1] + r * (rho_target - state.rho[0])
-        return state.phi[0]
-    if side == RIGHT:
-        state.phi[-1] = state.phi[-2] - r * (rho_target - state.rho[-1])
-        return state.phi[-1]
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def density_update(state: PipeState, grid: PipeGrid, dt: float,
                    pipe_id: str = "") -> None:
     """Advance densities one step from the face fluxes; advances time."""
@@ -207,40 +189,38 @@ def boundary_throughput(state: PipeState, geom: PipeGeometry) -> float:
     return geom.area * (state.phi[0] - state.phi[-1])
 
 
+@dataclass
 class FluxBC:
-    """Prescribed boundary mass flux; assigned directly at the half layer."""
+    """Prescribed boundary mass flux, assigned at the half layer."""
 
-    def __init__(self, profile):
-        self.profile = profile
-
-    def apply(self, state, geom, grid, gas, side, dt):
-        value = self.profile(state.time + 0.5 * dt)
-        state.phi[0 if side == LEFT else -1] = value
+    profile: object
 
 
+@dataclass
 class PressureBC:
-    """Prescribed boundary pressure; converted to density through the gas
-    of the boundary cell and imposed via the mass-conservation back-solve
-    at that cell."""
+    """Prescribed boundary pressure, imposed as the density it gives in the
+    boundary cell's gas through the mass-conservation back-solve."""
 
-    def __init__(self, profile):
-        self.profile = profile
-
-    def target_density(self, state, grid, gas, side, dt):
-        end_gas = gas[0 if side == LEFT else -1]
-        return end_gas.density(self.profile(state.time + dt))
-
-    def apply(self, state, geom, grid, gas, side, dt):
-        rho_t = self.target_density(state, grid, gas, side, dt)
-        boundary_flux_from_density(state, grid, side, rho_t, dt)
+    profile: object
 
 
 def step(state: PipeState, geom: PipeGeometry, grid: PipeGrid, gas,
          bc_left, bc_right, dt: float, pipe_id: str = "") -> PipeState:
-    """One full explicit step: interior fluxes, boundary fluxes, densities."""
+    """One full explicit step: interior fluxes, boundary fluxes (left end
+    first), densities.  A flux end takes its profile at ``t + dt/2``; a
+    pressure end lands its cell on its pressure's density at ``t + dt``."""
     interior_flux_update(state, geom, grid, gas, dt, pipe_id)
-    bc_left.apply(state, geom, grid, gas, LEFT, dt)
-    bc_right.apply(state, geom, grid, gas, RIGHT, dt)
+    t, rho, phi = state.time, state.rho, state.phi
+    if isinstance(bc_left, PressureBC):
+        target = gas[0].density(bc_left.profile(t + dt))
+        phi[0] = phi[1] + grid.dx / dt * (target - rho[0])
+    else:
+        phi[0] = bc_left.profile(t + 0.5 * dt)
+    if isinstance(bc_right, PressureBC):
+        target = gas[-1].density(bc_right.profile(t + dt))
+        phi[-1] = phi[-2] - grid.dx / dt * (target - rho[-1])
+    else:
+        phi[-1] = bc_right.profile(t + 0.5 * dt)
     density_update(state, grid, dt, pipe_id)
     return state
 

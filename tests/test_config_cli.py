@@ -10,7 +10,7 @@ import pytest
 from gasnetsim import cli
 from gasnetsim.cli import main
 from gasnetsim.config import (build_network, config_sha, load_config,
-                              parse_config, save_config)
+                              parse_config)
 from gasnetsim.eos import EOS_KEYS, make_eos
 from gasnetsim.errors import ConfigError
 from gasnetsim.experiments import MassLedger, RunResult, TimeSeriesStore
@@ -48,11 +48,9 @@ def minimal_doc():
 
 
 class TestConfig:
-    def test_bundled_config_round_trips(self, five_node_path, tmp_path):
+    def test_bundled_config_round_trips(self, five_node_path):
         cfg = load_config(five_node_path, strict=True)
-        out = tmp_path / "copy.json"
-        save_config(cfg, out)
-        cfg2 = load_config(out, strict=True)
+        cfg2 = parse_config(cfg.to_dict(), strict=True)
         assert cfg == cfg2
         assert cfg.to_dict() == cfg2.to_dict()
         assert config_sha(cfg) == config_sha(cfg2)
@@ -269,6 +267,11 @@ VALIDATION_ESCAPES = {
     "gravity_200_nonisothermal": (("eos",), {
         "kind": "cnga_nonisothermal", "t_ambient": 288.0, "t_jump": 40.0,
         "decay_rate": 1e-3, "gas_gravity": 200.0}),
+    "temperature_tiny_detailed": (("eos",), {
+        "kind": "cnga_detailed", "t_kelvin": 1e-100, "gas_gravity": 0.65}),
+    "temperature_tiny_nonisothermal": (("eos",), {
+        "kind": "cnga_nonisothermal", "t_ambient": 1e-100, "t_jump": 40.0,
+        "decay_rate": 1e-3, "gas_gravity": 0.65}),
     "length_huge_int": (("pipes", 0, "length"), 10 ** 400),
     "withdrawal_huge_int": (("nodes", 1, "withdrawal"), 10 ** 400),
     "profile_value_huge_int": (("nodes", 1, "withdrawal", "value"),
@@ -290,6 +293,18 @@ def test_validation_escapes_are_listed(path, value, tmp_path, capsys):
     config.write_text(json.dumps(doc))
     assert main(["validate", str(config)]) == 1
     assert "error: validation: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["temperature_tiny_detailed",
+                                  "temperature_tiny_nonisothermal"])
+def test_fit_temperature_domain_is_one_quiet_violation(case):
+    # below the fit's domain T**3.825 underflows to 0 and b1 to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            parse_config(_mutated(*VALIDATION_ESCAPES[case]))
+    [violation] = err.value.violations
+    assert violation.startswith("eos: ") and "domain" in violation
 
 
 # a valid value for every key of the EoS kind table

@@ -7,7 +7,8 @@ from gasnetsim.eos import (CngaGas, IdealGas, NonIsothermalCnga,
                            TemperatureProfile, cnga_coefficients,
                            gas_constant_from_gravity, make_eos,
                            DEFAULT_B1, DEFAULT_B2, DEFAULT_RT,
-                           DEFAULT_GRAVITY, FIT_A1, FIT_A2, FIT_A3)
+                           DEFAULT_GRAVITY, FIT_A1, FIT_A2, FIT_A3,
+                           MAX_FIT_GRAVITY, MIN_FIT_TEMPERATURE)
 
 T_REF = 288.706
 
@@ -39,6 +40,20 @@ def test_cnga_coefficient_forms_agree():
 def test_cnga_coefficients_reject_bad_temperature():
     with pytest.raises(ValueError):
         cnga_coefficients(-5.0)
+
+
+def test_fit_temperature_domain_keeps_coefficients_finite():
+    # the coldest fit at the largest gravity is finite, and no colder one
+    # is made, in an array or along a temperature profile
+    b1, b2 = cnga_coefficients(MIN_FIT_TEMPERATURE, MAX_FIT_GRAVITY)
+    assert math.isfinite(b1) and math.isfinite(b2)
+    colder = math.nextafter(MIN_FIT_TEMPERATURE, 0.0)
+    with pytest.raises(ValueError, match="domain"):
+        cnga_coefficients(np.array([T_REF, colder, math.nan]))
+    with pytest.raises(ValueError, match="domain"):
+        NonIsothermalCnga(TemperatureProfile(T_REF, 0.5 - T_REF, 1e-3))
+    with pytest.raises(ValueError, match="domain"):
+        NonIsothermalCnga(TemperatureProfile(colder, 40.0, 1e-3))
 
 
 @pytest.mark.parametrize("gravity", [0.0, -0.6, math.nan, math.inf, 200.0])

@@ -49,18 +49,6 @@ class TestL2Error:
         assert l2_error(diff, np.zeros_like(diff), length / n) == \
             pytest.approx(expect, rel=1e-10)
 
-    def test_nested_grid_restriction(self):
-        n = 10
-        coarse_cells = np.arange(n, dtype=float)
-        fine_cells = np.repeat(coarse_cells, 3) + 1.0
-        # coincident points carry the coarse values plus one
-        assert l2_error(coarse_cells, fine_cells, 1.0) == pytest.approx(
-            l2_error(coarse_cells, coarse_cells + 1.0, 1.0))
-        coarse_faces = np.arange(n + 1, dtype=float)
-        fine_faces = np.zeros(3 * n + 1)
-        fine_faces[::3] = coarse_faces
-        assert l2_error(coarse_faces, fine_faces, 1.0) == 0.0
-
     @pytest.mark.parametrize("n_a,n_b", [(10, 25), (1, 3), (0, 3)])
     def test_incompatible_grids_rejected(self, n_a, n_b):
         with pytest.raises(ValueError, match="incompatible"):

@@ -5,10 +5,9 @@ from gasnetsim import pipe as pipe_ops
 from gasnetsim.eos import CngaGas, IdealGas
 from gasnetsim.errors import PositivityError, UnstableRunError
 from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState,
-                            PressureBC, boundary_flux_from_density,
-                            cfl_max_dt, density_update, friction_invert,
-                            interior_flux_update, step, total_mass,
-                            uniform_state)
+                            PressureBC, cfl_max_dt, density_update,
+                            friction_invert, interior_flux_update, step,
+                            total_mass, uniform_state)
 from gasnetsim.profiles import Constant
 
 
@@ -130,10 +129,10 @@ class TestInteriorFluxUpdate:
 class TestBoundaryFlux:
     def test_steady_closed_end(self, cnga):
         geom, grid = make_setup()
-        state = uniform_state(grid, 56.817, 0.0)
-        val = boundary_flux_from_density(state, grid, "right",
-                                         state.rho[-1], 1.0)
-        assert val == 0.0
+        state = uniform_state(grid, cnga.density(6.5e6), 0.0)
+        step(state, geom, grid, cnga, FluxBC(Constant(0.0)),
+             PressureBC(Constant(6.5e6)), 1.0)
+        assert state.phi[-1] == 0.0
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_boundary_cell_lands_on_target(self, cnga, side):
@@ -143,8 +142,11 @@ class TestBoundaryFlux:
                           rng.uniform(-50, 50, grid.n_cells + 1))
         dt = 0.8
         target = 57.3
-        boundary_flux_from_density(state, grid, side, target, dt)
-        density_update(state, grid, dt)
+        bcs = [PressureBC(Constant(cnga.pressure(target))),
+               FluxBC(Constant(0.0))]
+        if side == "right":
+            bcs.reverse()
+        step(state, geom, grid, cnga, *bcs, dt)
         cell = 0 if side == "left" else -1
         assert state.rho[cell] == pytest.approx(target, rel=1e-12)
 
@@ -153,8 +155,7 @@ class TestBoundaryFlux:
         geom, grid = make_setup()
         state = uniform_state(grid, 56.0, 0.0)
         bc = PressureBC(Constant(6.5e6))
-        bc.apply(state, geom, grid, cnga, "right", 1.0)
-        density_update(state, grid, 1.0)
+        step(state, geom, grid, cnga, FluxBC(Constant(0.0)), bc, 1.0)
         assert state.rho[-1] == pytest.approx(56.817, abs=0.01)
         assert cnga.pressure(state.rho[-1]) == pytest.approx(6.5e6, rel=1e-12)
 
@@ -246,12 +247,6 @@ class TestStep:
             step(state, geom, grid, eos, bc, bc, 0.5)
         assert np.all(state.rho == 56.817)
         assert np.all(state.phi == 0.0)
-
-    def test_step_rejects_unknown_side(self):
-        geom, grid = make_setup()
-        state = uniform_state(grid, 56.817, 0.0)
-        with pytest.raises(ValueError):
-            boundary_flux_from_density(state, grid, "top", 56.0, 1.0)
 
     def test_identical_runs_are_bitwise_identical(self):
         # determinism fixture for the step-flux scenario machinery
