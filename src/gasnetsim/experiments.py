@@ -105,8 +105,8 @@ LEDGER_KEYS = [("network", "total", name)
                for name in ("mass", "cumulative_inflow", "discrepancy")]
 
 
-def _march(now, advance, total_mass, inflow_rate, sample, keys, dt, dt_max,
-           t_end, cadence, where, writer=None) -> RunResult:
+def _march(now, advance, step_mass, sampled_mass, inflow_rate, sample, keys,
+           dt, dt_max, t_end, cadence, where, writer=None) -> RunResult:
     """Step a run from ``now()`` to ``t_end``, keeping the exact mass
     ledger and sampling on the cadence.
 
@@ -115,11 +115,14 @@ def _march(now, advance, total_mass, inflow_rate, sample, keys, dt, dt_max,
     ``advance()`` takes one step; ``sample()`` returns a list of floats,
     one per ``(entity, id, field)`` of ``keys``, and each sample's rows
     are those values followed by the ledger's (``LEDGER_KEYS``).  Each step
-    must change ``total_mass()`` by ``dt * inflow_rate()`` to within 1e-12
-    of the mass; ``total_mass()`` is called after each step and before
-    that step's sample.  Each sample goes to ``writer.write_sample`` as
-    soon as it is taken; a streamed run's store then holds only the last
-    sample's rows, since the earlier ones are already on disk.
+    must change ``step_mass()`` by ``dt * inflow_rate()`` to within 1e-12
+    of the mass; ``step_mass()`` is called before the first step and after
+    each step.  The ledger's sampled mass is ``sampled_mass()``, called
+    before each ``sample()``; when the two are one callable, a sample
+    takes its step's mass instead.  Each sample goes to
+    ``writer.write_sample`` as soon as it is taken; a streamed run's store
+    then holds only the last sample's rows, since the earlier ones are
+    already on disk.
     """
     t0 = now()
     steps = (t_end - t0) / dt
@@ -133,7 +136,12 @@ def _march(now, advance, total_mass, inflow_rate, sample, keys, dt, dt_max,
     ledger = MassLedger()
     keys = keys + LEDGER_KEYS
     columns = list(zip(*keys))
-    mass0 = prev_mass = total_mass()
+
+    def ledger_mass(mass):
+        return mass if sampled_mass is step_mass else sampled_mass()
+
+    prev_mass = step_mass()
+    mass0 = ledger_mass(prev_mass)
     cumulative = 0.0
     last = None
 
@@ -160,13 +168,13 @@ def _march(now, advance, total_mass, inflow_rate, sample, keys, dt, dt_max,
         advance()
         inflow = dt * inflow_rate()
         cumulative += inflow
-        mass = total_mass()
+        mass = step_mass()
         if abs(mass - prev_mass - inflow) > 1e-12 * max(mass, 1.0):
             raise SimulationError(
                 f"mass ledger identity broken at step {k} (t={now():g} s)")
         prev_mass = mass
         if now() >= next_sample - 1e-9 * dt:
-            record(mass)
+            record(ledger_mass(mass))
             next_sample += cadence
     if writer is not None:
         store.rows = rows(*last)
@@ -196,8 +204,10 @@ def simulate_pipe(geom: PipeGeometry, grid: PipeGrid, eos, state: PipeState,
                                    state.rho[0], state.rho[-1],
                                    state.phi[0], state.phi[-1], v[0], v[-1])]
 
-    return _march(lambda: state.time, advance,
-                  lambda: pipe_ops.total_mass(state, geom, grid),
+    def total_mass():
+        return pipe_ops.total_mass(state, geom, grid)
+
+    return _march(lambda: state.time, advance, total_mass, total_mass,
                   lambda: pipe_ops.boundary_throughput(state, geom), sample,
                   [("pipe", "main", name) for name in PIPE_SAMPLE_FIELDS],
                   dt, pipe_ops.cfl_max_dt(state, grid, gas), t_end, cadence,
@@ -516,7 +526,7 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
 
     masses = None
 
-    def total_mass():
+    def sampled_mass():
         # the sample that follows reads these masses, not a second sum
         nonlocal masses
         masses = net._pipe_masses()
@@ -526,9 +536,12 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
         return np.concatenate((np.column_stack(_node_arrays(net)).ravel(),
                                net._pipe_records(masses).ravel())).tolist()
 
+    # each step's ledger check reads one weighted sum of the flat state;
+    # only samples sum each pipe's mass
     result = _march(lambda: net.time, lambda: network_step(net, dt),
-                    total_mass, net._boundary_inflow, sample, keys, dt,
-                    net.cfl_max_dt(), t_end, cadence, "network", writer)
+                    net._flat_mass, sampled_mass, net._boundary_inflow,
+                    sample, keys, dt, net.cfl_max_dt(), t_end, cadence,
+                    "network", writer)
     result.summary.update(t_end=net.time, total_mass_kg=net.total_mass())
     return result
 

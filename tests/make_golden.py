@@ -5,7 +5,10 @@ Usage, from the root of a checkout::
     PYTHONPATH=src python tests/make_golden.py
 
 Each run of ``RUNS`` is one ``gasnetsim`` command line, run in-process
-into a fresh directory.  For every file it writes the golden file keeps
+into a fresh directory.  A run of a config under ``tests/data`` names
+its files after that config (``mesh_small_run.csv``), so that they do not
+clash with the bundled config's.  For every file it writes the golden
+file keeps
 
 * the sha256 of its bytes, under the key of this platform (Python, numpy,
   scipy and machine), since ``math.sin``, ``np.arctan`` or ``T**3.825``
@@ -49,6 +52,10 @@ GOLDEN_PATH = Path(__file__).with_name("golden.json")
 RTOL = 1e-5       # a one-ulp change moves the convergence rates by ~5e-7
 ROUNDOFF_FIELDS = ("discrepancy", "max_ledger_discrepancy_kg")
 CONFIG = "{config}"       # stands for the bundled five-node config
+DATA = Path(__file__).with_name("data")
+# a 9-pipe netgen mesh (seed 3) with three constant-ratio compressors,
+# four harmonic withdrawals and three dead ends
+MESH_SMALL = "mesh_small.json"
 
 RUNS = (
     ("fast-transient", "--dx", "2000", "--t-end", "900"),
@@ -59,7 +66,14 @@ RUNS = (
     ("run", CONFIG, "--dx", "4000", "--t-end", "600", "--dt", "1"),
     ("convergence",),
     ("steady", CONFIG, "--dx", "4000"),
+    ("run", MESH_SMALL),
 )
+
+
+def command_line(run) -> list:
+    """The arguments of a run of ``RUNS``, with its config's path."""
+    return [str(FIVE_NODE_CONFIG) if arg == CONFIG else
+            str(DATA / arg) if arg.endswith(".json") else arg for arg in run]
 
 
 def platform_key() -> str:
@@ -73,16 +87,17 @@ def run_all(out_dir: Path) -> dict:
     files = {}
     for i, run in enumerate(RUNS):
         run_dir = out_dir / str(i)
-        argv = [str(FIVE_NODE_CONFIG) if arg == CONFIG else arg
-                for arg in run]
+        prefix = "".join(arg[:-len(".json")] + "_" for arg in run
+                         if arg.endswith(".json"))
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*argv, "--out", str(run_dir)])
+            code = cli.main([*command_line(run), "--out", str(run_dir)])
         if code != 0:
             raise RuntimeError(f"gasnetsim {' '.join(run)} exited {code}")
         for path in sorted(run_dir.iterdir()):
-            if path.name in files:
-                raise RuntimeError(f"two runs write {path.name}")
-            files[path.name] = path
+            name = prefix + path.name
+            if name in files:
+                raise RuntimeError(f"two runs write {name}")
+            files[name] = path
     return files
 
 

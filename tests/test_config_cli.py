@@ -267,6 +267,12 @@ VALIDATION_ESCAPES = {
     "gravity_200_nonisothermal": (("eos",), {
         "kind": "cnga_nonisothermal", "t_ambient": 288.0, "t_jump": 40.0,
         "decay_rate": 1e-3, "gas_gravity": 200.0}),
+    "b1_squared_overflows": (("eos", "b1"), 1e200),
+    "gravity_100_detailed": (("eos",), {
+        "kind": "cnga_detailed", "t_kelvin": 288.0, "gas_gravity": 100.0}),
+    "gravity_100_nonisothermal": (("eos",), {
+        "kind": "cnga_nonisothermal", "t_ambient": 288.0, "t_jump": 40.0,
+        "decay_rate": 1e-3, "gas_gravity": 100.0}),
     "temperature_tiny_detailed": (("eos",), {
         "kind": "cnga_detailed", "t_kelvin": 1e-100, "gas_gravity": 0.65}),
     "temperature_tiny_nonisothermal": (("eos",), {
@@ -305,6 +311,20 @@ def test_fit_temperature_domain_is_one_quiet_violation(case):
             parse_config(_mutated(*VALIDATION_ESCAPES[case]))
     [violation] = err.value.violations
     assert violation.startswith("eos: ") and "domain" in violation
+
+
+@pytest.mark.parametrize("case", ["b1_squared_overflows",
+                                  "gravity_100_detailed",
+                                  "gravity_100_nonisothermal"])
+def test_a_b1_whose_square_overflows_is_one_quiet_violation(case):
+    # the pressure map squares b1, which would read 0 for every density
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            parse_config(_mutated(*VALIDATION_ESCAPES[case]))
+    [violation] = err.value.violations
+    assert violation.startswith("eos: ")
+    assert "squares beyond the float range" in violation
 
 
 # a valid value for every key of the EoS kind table

@@ -261,6 +261,19 @@ def test_per_step_ledger_identity_fires(monkeypatch, owner, attr, run):
         run()
 
 
+def test_mass_added_after_a_step_breaks_the_network_ledger(monkeypatch):
+    # the per-step check reads the flat state, not the sampled pipe sums
+    step = experiments.network_step
+
+    def leaky(net, dt):
+        step(net, dt)
+        net.rho[0] += 1.0
+    monkeypatch.setattr(experiments, "network_step", leaky)
+    with pytest.raises(SimulationError,
+                       match="mass ledger identity broken at step 1 "):
+        _short_network_run()
+
+
 def test_step_clock_sees_every_pipe_step(monkeypatch):
     # the benchmark clocks single-pipe steps by shadowing pipe.step
     calls = _counted(monkeypatch, pipe_ops, "step")

@@ -12,12 +12,13 @@ from gasnetsim.experiments import (WAVE_SPEED_REF, five_node_network,
                                    simulate_network)
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
                                flow_balance_residual, network_step,
-                               nodal_pressure_solve, node_records)
+                               nodal_pressure_solve, node_arrays,
+                               node_records)
 from gasnetsim.output import SeriesWriter
 from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState,
                             PressureBC, interior_flux_update, step,
                             uniform_state)
-from gasnetsim.profiles import Constant, Harmonic
+from gasnetsim.profiles import Constant, Harmonic, StepSequence
 from gasnetsim.steady import solve_steady_state
 
 
@@ -608,6 +609,58 @@ class TestFlatStep:
             pipe_ops.boundary_throughput(edge.state, edge.geometry)
             for edge in net.edges)
         assert e.state.phi.base is net.phi
+
+
+    def test_flat_mass_is_the_sum_of_the_pipe_masses(self):
+        net = five_node_network(CngaGas(), dx_target=62.5)
+        solve_steady_state(net).populate(net)
+        net.require_states()
+        pipes = sum(net.pipe_masses())
+        assert abs(net._flat_mass() - pipes) <= 1e-14 * pipes
+
+    def test_constant_profiles_fold_into_the_plan_bitwise(self):
+        # the same values as Constant profiles, which the plan folds, and
+        # as StepSequence ones, which every step evaluates
+        nets = [ring_with_compressors(Constant),
+                ring_with_compressors(lambda v: StepSequence([(math.inf,
+                                                               v)]))]
+        dt = 0.5 * nets[0].cfl_max_dt()
+        for _ in range(20):
+            for net in nets:
+                network_step(net, dt)
+            (rho, phi, nodes), (rho_2, phi_2, nodes_2) = [
+                (net.rho, net.phi, node_arrays(net)) for net in nets]
+            assert np.array_equal(rho, rho_2) and np.array_equal(phi, phi_2)
+            for a, b in zip(nodes, nodes_2):
+                assert np.array_equal(a, b)
+        folded, evaluated = (net._plan for net in nets)
+        assert not folded.slack_varies and folded.density_map is not None
+        assert evaluated.slack_varies and evaluated.density_map is None
+
+
+def ring_with_compressors(profile):
+    """A slack node ``a``, junctions ``b`` and ``c`` and a dead end ``d``,
+    with boost ratios at slack and junction ends; every pressure, ratio
+    and withdrawal is ``profile(value)``."""
+    eos = NonIsothermalCnga(TemperatureProfile(ambient=288.706, jump=40.0,
+                                               decay_rate=1e-3))
+    specs = [("p", "a", "b", {"inlet_ratio": profile(1.15)}),
+             ("q", "b", "c", {"inlet_ratio": profile(1.1)}),
+             ("r", "c", "a", {"outlet_ratio": profile(1.05)}),
+             ("s", "c", "d", {})]
+    edges = [PipeEdge(pid, frm, to, PipeGeometry(8e3 + 2e3 * k, 0.6, 0.01),
+                      PipeGrid(8e3 + 2e3 * k, 6 + k), **ratio)
+             for k, (pid, frm, to, ratio) in enumerate(specs)]
+    net = Network([Node("a", SlackBC(profile(5e6))),
+                   Node("b", DemandBC(profile(30.0))),
+                   Node("c", DemandBC(profile(-15.0))),
+                   Node("d", DemandBC(profile(20.0)))], edges, eos)
+    rng = np.random.default_rng(7)
+    for e in edges:
+        n = e.grid.n_cells
+        e.state = PipeState(e.gas.density(5.0e6) * rng.uniform(0.98, 1.02, n),
+                            rng.uniform(-50.0, 150.0, n + 1))
+    return net
 
 
 def group_networks(withdrawals=None):

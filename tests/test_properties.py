@@ -120,6 +120,17 @@ def run(spec, writer=None):
 
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(networks())
+def test_generated_networks_flat_mass_is_the_sum_of_pipe_masses(spec):
+    net = build(spec)
+    dt = 0.8 * net.cfl_max_dt()
+    for _ in range(STEPS):
+        network_step(net, dt)
+        pipes = sum(net.pipe_masses())
+        assert abs(net._flat_mass() - pipes) <= 1e-14 * pipes
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(networks())
 def test_generated_networks_keep_kirchhoff_and_rerun_bitwise(spec):
     net, dt, result = run(spec)
     assert result.summary["steps"] == STEPS
