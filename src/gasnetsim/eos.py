@@ -46,9 +46,10 @@ ATMOSPHERE_PSI = 14.7
 PA_PER_PSI = 6894.75729
 
 
-# above a gravity of ~169.6 the fit's factor a1 10**(a2 G) overflows a float
-MAX_FIT_GRAVITY = 169.0
-# at that gravity the fit's b1 = 1 + 14.7 c1 / T**a3 overflows below ~0.6 K
+# the fit's b1 = 1 + 14.7 c1 / T**a3 is largest at the domain's coldest,
+# heaviest corner; CngaGas.pressure squares b1, and at 1 K that square
+# overflows a float above a gravity of ~83.1
+MAX_FIT_GRAVITY = 80.0
 MIN_FIT_TEMPERATURE = 1.0
 
 
@@ -79,40 +80,23 @@ def gas_constant_from_gravity(gravity: float) -> float:
     return UNIVERSAL_GAS_CONSTANT / (AIR_MOLAR_MASS * gravity)
 
 
-def _check_b1_square(largest, gravity=None):
-    """``CngaGas.pressure`` squares ``b1``: refuse a ``b1`` whose square is
-    not a finite float, given the largest (of the fit at ``gravity``)."""
-    largest = float(largest)
-    if not largest * largest < math.inf:
-        fit = "" if gravity is None else f"gas gravity {gravity}: the fit's "
-        raise ValueError(f"{fit}b1 = {largest:g} squares beyond the float "
-                         f"range")
-
-
 def cnga_coefficients(temperature, gravity: float = DEFAULT_GRAVITY):
     """Compressibility-fit coefficients ``(b1, b2)`` at a temperature in K.
 
     The factor is approximated as ``Z = 1/(b1 + b2 p)`` with ``p`` in Pa:
     ``b1 = 1 + 14.7 c1 / T**a3``, ``b2 = c1 / (6894.75729 T**a3)``.
     """
-    return _fit(temperature, gravity)[:2]
-
-
-def _fit(temperature, gravity):
-    """``cnga_coefficients``, and the largest ``b1``: the coldest point's,
-    since ``b1`` falls as the temperature rises."""
     _check_fit_gravity(gravity)
     temperature = np.asarray(temperature, dtype=float)
     # the one reduction: NaN if any is NaN, inf if there are none
-    coldest = temperature.min(initial=math.inf)
-    _check_fit_temperature(coldest)
+    _check_fit_temperature(temperature.min(initial=math.inf))
     c1 = FIT_A1 * 10.0 ** (FIT_A2 * gravity) / 1.8 ** FIT_A3
     t_pow = temperature ** FIT_A3
     b1 = 1.0 + c1 * ATMOSPHERE_PSI / t_pow
     b2 = c1 / (PA_PER_PSI * t_pow)
     if b1.ndim == 0:
-        return float(b1), float(b2), float(b1)
-    return b1, b2, 1.0 + c1 * ATMOSPHERE_PSI / coldest ** FIT_A3
+        return float(b1), float(b2)
+    return b1, b2
 
 
 @dataclass(frozen=True)
@@ -169,7 +153,10 @@ class CngaGas:
             raise ValueError("b2 must be non-negative")
         if not np.all(np.asarray(rt) > 0):
             raise ValueError("RT must be positive")
-        _check_b1_square(np.max(b1, initial=1.0))
+        largest = float(np.max(b1, initial=1.0))    # pressure squares b1
+        if not largest * largest < math.inf:
+            raise ValueError(f"b1 = {largest:g} squares beyond the float "
+                             f"range")
         self.b1 = b1
         self.b2 = b2
         self.rt = rt
@@ -179,8 +166,7 @@ class CngaGas:
                          gravity: float = DEFAULT_GRAVITY) -> "CngaGas":
         """Derive the fit pair from temperature and gas gravity."""
         gas = object.__new__(cls)    # the fit functions check the inputs
-        gas.b1, gas.b2, largest = _fit(temperature, gravity)
-        _check_b1_square(largest, gravity)
+        gas.b1, gas.b2 = cnga_coefficients(temperature, gravity)
         gas.rt = gas_constant_from_gravity(gravity) * temperature
         return gas
 
@@ -246,10 +232,9 @@ class NonIsothermalCnga:
     gravity: float = DEFAULT_GRAVITY
 
     def __post_init__(self):
+        _check_fit_gravity(self.gravity)
         ambient = self.profile.ambient      # T(x >= 0) >= the smaller end
-        # the fit at the coldest point checks every point's
-        b1 = _fit(min(ambient, ambient + self.profile.jump), self.gravity)[0]
-        _check_b1_square(b1, self.gravity)
+        _check_fit_temperature(min(ambient, ambient + self.profile.jump))
 
     def at(self, x) -> CngaGas:
         """The gas with ``from_temperature``'s fit at ``T(x)``."""

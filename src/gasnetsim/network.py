@@ -18,9 +18,8 @@ assigning every pipe-end flux (all nodes at once, gathered by incidence
 index arrays and summed per node with ``np.bincount``), then the density
 update of every cell.  Per-node sums always run in fixed incidence order,
 so results are deterministic.  The network reads its constant profiles
-once; the dt-scaled coefficients a step reads, and the nodal terms that
-constant profiles fix, are a step plan, built once per ``(network, dt)``
-and rebuilt when ``dt`` or the bound states change.
+once; the dt-scaled coefficients a step reads are a step plan, built once
+per ``(network, dt)`` and rebuilt when ``dt`` or the bound states change.
 """
 
 from __future__ import annotations
@@ -438,22 +437,14 @@ class _FlatLayout:
 class _StepPlan:
     """What every step at one ``dt`` over the bound states reads.
 
-    The dt-scaled coefficients; views of the flat state and buffers for
-    the density increment and the targeted ends' densities; and each group
-    of pipe ends' indices and products, ``None`` for an empty group (the
-    slack group never is: a valid network has a slack node, with a pipe
-    end).  The ends whose flux lands their boundary cell on a target
-    density (slack and solved, in that order) are gathered together.
-    ``sgn dx/dt``, ``4 w v`` and a dead end's ``sgn S`` scale by a sign or
-    a power of two, so each rounds as the product it replaces.
-
-    What constant profiles fix is computed here, by the step's own
-    expressions: the slack ends' target densities when no slack pressure
-    or slack-end ratio varies, and the solved nodes' density-map sums
-    (``a4``, ``b``, ``b * b``) when no solved end's ratio varies.  The
-    solved ends' per-node sums run as one ``np.bincount`` over the rows of
-    ``terms``, each row's node indices offset by the row times the node
-    count, so every sum adds its terms in incidence order as before.
+    The dt-scaled coefficients; views of the flat state and a buffer for
+    the density increment; and each group of pipe ends' indices and
+    products, ``None`` for an empty group (the slack group never is: a
+    valid network has a slack node, with a pipe end).  The ends whose flux
+    lands their boundary cell on a target density (slack and solved, in
+    that order) are gathered together.  ``sgn dx/dt``, ``4 w v`` and a dead
+    end's ``sgn S`` scale by a sign or a power of two, so each rounds as the
+    product it replaces.
     """
 
     def __init__(self, net: Network, dt: float):
@@ -474,51 +465,18 @@ class _StepPlan:
         # every slack node has one end
         self.slack_pos = None if fl.slack.stop == fl.slack_nodes.size \
             else np.searchsorted(fl.slack_nodes, fl.end_node[fl.slack])
-        ratios, varying = fl.ratios
-        varying = [j for j, _ in varying]
-        self.rho_t = np.empty(t.stop)
-        self.slack_varies = bool(fl.slack_pressures[1]) or \
-            any(j < fl.slack.stop for j in varying)
-        if not self.slack_varies:
-            self.rho_t[fl.slack] = self.slack_densities(
-                fl, ratios, fl.slack_pressures[0])
-
-        self.terms = self.dead_face = None
+        self.solved = self.dead_face = None
         m, k = fl.solved, fl.solved_nodes.size
         if k:
-            self.k, self.sgn_area = k, fl.sgn_area[m]
-            self.w = w = fl.area_dx[m] / dt
+            # (each end's node, node count, sgn S, w, w u, 4 w v)
+            w = fl.area_dx[m] / dt
             u, v = fl.solved_poly
-            self.wu, self.wv4 = w * u, 4.0 * (w * v)
-            self.density_map = None
-            if not any(m.start <= j < m.stop for j in varying):
-                al = ratios[m]
-                self.density_map = _density_map(
-                    np.bincount(fl.solved_pos, self.wv4 * al * al, k),
-                    np.bincount(fl.solved_pos, self.wu * al, k))
-            # rows: w rho, sgn S phi, then 4 w v al**2 and w u al if varying
-            rows = 2 if self.density_map else 4
-            self.terms = np.empty((rows, m.stop - m.start))
-            self.bins = (fl.solved_pos +
-                         k * np.arange(rows, dtype=np.intp)[:, None]).ravel()
+            self.solved = (fl.solved_pos, k, fl.sgn_area[m], w, w * u,
+                           4.0 * (w * v))
         d = fl.dead
         if d.stop > d.start:
             self.dead_face = fl.end_face[d]
             self.dead_sgn_area = fl.sgn_area[d]
-
-    def slack_densities(self, fl: _FlatLayout, alpha, p_slack) -> np.ndarray:
-        """The slack ends' target densities from every end's boost ratio
-        and the slack nodes' pressures."""
-        p_ends = p_slack if self.slack_pos is None else p_slack[self.slack_pos]
-        return fl.slack_gas.density(alpha[fl.slack] * p_ends)
-
-
-def _density_map(a4, b) -> tuple:
-    """``(a4, b, b * b, degenerate)`` of the solved nodes' quadratic
-    balances from their per-node sums ``a4`` and ``b``; ``degenerate``
-    says some ``b <= 0`` (``fmin`` skips NaN, as the comparisons of the
-    step's error mask do)."""
-    return a4, b, b * b, np.fmin.reduce(b) <= 0.0
 
 
 def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
@@ -563,35 +521,29 @@ def _nodal_phase(net: Network, plan: _StepPlan, t_half, t_next):
     p_slack = _at(fl.slack_pressures, t_next)
     q = _at(fl.withdrawals, t_half)
     rho_end, phi_inner = rho[plan.cell], phi[plan.inner]
-    rho_t = plan.rho_t
-    if plan.slack_varies:
-        rho_t[fl.slack] = plan.slack_densities(fl, alpha, p_slack)
+    p_ends = p_slack if plan.slack_pos is None else p_slack[plan.slack_pos]
+    rho_t = fl.slack_gas.density(alpha[fl.slack] * p_ends)
 
     k, p_solved = 0, None
-    if plan.terms is not None:
-        m, k, terms = fl.solved, plan.k, plan.terms
+    if plan.solved is not None:
+        pos, k, sgn_area, w, wu, wv4 = plan.solved
+        m = fl.solved
         al = alpha[m]
-        np.multiply(plan.w, rho_end[m], out=terms[0])
-        np.multiply(plan.sgn_area, phi_inner[m], out=terms[1])
-        if plan.density_map is None:
-            np.multiply(plan.wv4, al, out=terms[2])
-            terms[2] *= al
-            np.multiply(plan.wu, al, out=terms[3])
-        sums = np.bincount(plan.bins, terms.ravel(), len(terms) * k)
-        sums = sums.reshape(-1, k)
-        rhs = sums[0] - q[:k] + sums[1]
-        a4, b, bb, degenerate = plan.density_map or \
-            _density_map(sums[2], sums[3])
-        if np.fmin.reduce(rhs) < 0.0 or degenerate:
+        rhs = np.bincount(pos, w * rho_end[m], k) - q[:k] + \
+            np.bincount(pos, sgn_area * phi_inner[m], k)
+        a4 = np.bincount(pos, wv4 * al * al, k)
+        b = np.bincount(pos, wu * al, k)
+        # fmin skips NaN, as the comparisons of the mask below do
+        if np.fmin.reduce(rhs) < 0.0 or np.fmin.reduce(b) <= 0.0:
             i = int(np.flatnonzero((rhs < 0.0) | (b <= 0.0))[0])
             raise InfeasibleNodeError(
                 fl.node_ids[fl.solved_nodes[i]],
                 f"balance rhs {rhs[i]:g} < 0" if rhs[i] < 0.0
                 else "degenerate density map")
-        p_solved = 2.0 * rhs / (b + np.sqrt(bb + a4 * rhs))
-        p_end = al * p_solved[fl.solved_pos]
+        p_solved = 2.0 * rhs / (b + np.sqrt(b * b + a4 * rhs))
+        p_end = al * p_solved[pos]
         u, v = fl.solved_poly
-        rho_t[m] = u * p_end + v * p_end ** 2
+        rho_t = np.concatenate((rho_t, u * p_end + v * p_end ** 2))
 
     # the boundary flux that lands each boundary cell on its target density
     phi[plan.face] = phi_inner - plan.sgn_dx_dt * (rho_t - rho_end)
@@ -628,10 +580,7 @@ def network_step(net: Network, dt: float) -> None:
     fl, rho = net._flat, net.rho
     new = pipe_ops.face_fluxes(rho, fl.gas.pressure(rho), plan.faces,
                                plan.beta_dt, plan.face_dt_dx)
-    # one reduction screens the faces: a non-finite face makes any sum of
-    # them with finite weights non-finite (0 * inf and inf - inf are NaN);
-    # an overflowing sum of finite faces gets the exact mask, which passes
-    if not math.isfinite(np.dot(plan.face_dt_dx, new)):
+    if not np.isfinite(new).all():
         # the faces beside a ghost are pipe ends, which the nodal phase sets
         bad = ~np.isfinite(new)
         bad[fl.seams] = False

@@ -47,6 +47,7 @@ def test_fit_temperature_domain_keeps_coefficients_finite():
     # is made, in an array or along a temperature profile
     b1, b2 = cnga_coefficients(MIN_FIT_TEMPERATURE, MAX_FIT_GRAVITY)
     assert math.isfinite(b1) and math.isfinite(b2)
+    assert b1 * b1 < math.inf       # CngaGas.pressure squares b1
     colder = math.nextafter(MIN_FIT_TEMPERATURE, 0.0)
     with pytest.raises(ValueError, match="domain"):
         cnga_coefficients(np.array([T_REF, colder, math.nan]))
@@ -56,7 +57,8 @@ def test_fit_temperature_domain_keeps_coefficients_finite():
         NonIsothermalCnga(TemperatureProfile(colder, 40.0, 1e-3))
 
 
-@pytest.mark.parametrize("gravity", [0.0, -0.6, math.nan, math.inf, 200.0])
+@pytest.mark.parametrize("gravity", [0.0, -0.6, math.nan, math.inf, 100.0,
+                                     200.0])
 def test_fit_rejects_bad_gravity(gravity):
     with pytest.raises(ValueError, match="gas gravity"):
         cnga_coefficients(288.0, gravity)

@@ -610,7 +610,6 @@ class TestFlatStep:
             for edge in net.edges)
         assert e.state.phi.base is net.phi
 
-
     def test_flat_mass_is_the_sum_of_the_pipe_masses(self):
         net = five_node_network(CngaGas(), dx_target=62.5)
         solve_steady_state(net).populate(net)
@@ -618,9 +617,9 @@ class TestFlatStep:
         pipes = sum(net.pipe_masses())
         assert abs(net._flat_mass() - pipes) <= 1e-14 * pipes
 
-    def test_constant_profiles_fold_into_the_plan_bitwise(self):
-        # the same values as Constant profiles, which the plan folds, and
-        # as StepSequence ones, which every step evaluates
+    def test_constant_and_varying_profiles_step_bitwise(self):
+        # the same values as Constant profiles, which the network reads
+        # once, and as StepSequence ones, which every step evaluates
         nets = [ring_with_compressors(Constant),
                 ring_with_compressors(lambda v: StepSequence([(math.inf,
                                                                v)]))]
@@ -633,9 +632,6 @@ class TestFlatStep:
             assert np.array_equal(rho, rho_2) and np.array_equal(phi, phi_2)
             for a, b in zip(nodes, nodes_2):
                 assert np.array_equal(a, b)
-        folded, evaluated = (net._plan for net in nets)
-        assert not folded.slack_varies and folded.density_map is not None
-        assert evaluated.slack_varies and evaluated.density_map is None
 
 
 def ring_with_compressors(profile):
