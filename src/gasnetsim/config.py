@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .eos import EOS_KEYS, make_eos
 from .errors import ConfigError
@@ -71,7 +71,7 @@ class CompressorConfig:
     ratio: object
 
     def to_dict(self):
-        return {"pipe": self.pipe, "side": self.side, "ratio": self.ratio}
+        return asdict(self)
 
 
 @dataclass
@@ -84,10 +84,7 @@ class SimulationConfig:
     output_path: str = "out"
 
     def to_dict(self):
-        return {"dt": self.dt, "t_end": self.t_end,
-                "dx_target": self.dx_target, "cfl_safety": self.cfl_safety,
-                "output_cadence": self.output_cadence,
-                "output_path": self.output_path}
+        return asdict(self)
 
 
 # the optional simulation keys, with the defaults declared above

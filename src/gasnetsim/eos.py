@@ -217,6 +217,9 @@ class IdealGas(CngaGas):
         if wave_speed <= 0:
             raise ValueError("wave speed must be positive")
         self.wave_speed = float(wave_speed)
+        if self.wave_speed * self.wave_speed == math.inf:
+            raise ValueError(f"wave speed = {self.wave_speed:g} squares "
+                             f"beyond the float range")
         super().__init__(1.0, 0.0, self.wave_speed ** 2)
 
     def __repr__(self):

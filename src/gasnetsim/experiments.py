@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -237,9 +237,7 @@ class ConvergenceReport:
     rates_by_protocol: dict
 
     def to_dict(self) -> dict:
-        return {"dts": list(self.dts), "errors": self.errors,
-                "rates": self.rates,
-                "rates_by_protocol": self.rates_by_protocol}
+        return asdict(self)
 
 
 def _wave_profiles(rho_mean, wave_speed, length):
@@ -478,14 +476,14 @@ def run_temperature_effect(decay_rate: float = 1e-3, dx: float = 200.0,
     return result
 
 
+@dataclass(frozen=True)
 class _HoldThenHarmonic:
     """Constant until t1, then base*(1 + amp*sin(omega*(t - t1)))."""
 
-    def __init__(self, base, t1, amplitude, omega):
-        self.base = base
-        self.t1 = t1
-        self.amplitude = amplitude
-        self.omega = omega
+    base: float
+    t1: float
+    amplitude: float
+    omega: float
 
     def __call__(self, t):
         if t <= self.t1:

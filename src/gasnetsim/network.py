@@ -123,7 +123,7 @@ def graph_violations(nodes, pipes) -> list[str]:
             problems.append(f"pipe {pid!r} is a self-loop")
     if not any(is_slack for _, is_slack in nodes):
         problems.append("at least one slack (pressure) node is required")
-    if problems or not nodes:
+    if problems:
         return problems
     adj = {nid: set() for nid in known}
     for _, frm, to in pipes:
@@ -138,6 +138,8 @@ def graph_violations(nodes, pipes) -> list[str]:
         cut_off = [nid for nid in node_ids if nid not in reach]
         problems.append(f"graph is not connected: nodes {cut_off} are "
                         f"unreachable from node {node_ids[0]!r}")
+    elif not pipes:                     # a lone node
+        problems.append("at least one pipe is required")
     return problems
 
 

@@ -3,7 +3,7 @@
 A profile maps time in seconds to a value; profiles with a ``period`` wrap
 time first (``t mod period``).  Every number a profile is built from must be
 finite, except that a step sequence's last interval may end at ``+inf``.
-Instances are immutable and freely shared.
+Instances are frozen dataclasses: immutable, and freely shared.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import bisect
 import math
 import sys
 import warnings
+from dataclasses import dataclass, field, fields
 
 
 def _float(value) -> float:
@@ -31,25 +32,22 @@ def _finite(value, name) -> float:
     return value
 
 
-def _frozen(value):
-    """A config value as nested tuples: hashable, and equal when it is."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _frozen(v)) for k, v in value.items()))
-    if isinstance(value, list):
-        return tuple(_frozen(v) for v in value)
-    return value
-
-
+@dataclass(frozen=True)
 class TimeProfile:
     """Base class; subclasses implement ``_value`` on wrapped time."""
 
     kind = ""
+    period: float | None = field(default=None, kw_only=True)
 
-    def __init__(self, period: float | None = None):
+    def __post_init__(self):
         # an integer period beyond the float range is not finite either
-        if period is not None and not 0 < period <= sys.float_info.max:
+        if self.period is not None and \
+                not 0 < self.period <= sys.float_info.max:
             raise ValueError("period must be positive and finite")
-        self.period = period
+        for f in fields(self):      # every field annotated "float" is finite
+            if f.type == "float":
+                object.__setattr__(self, f.name,
+                                   _finite(getattr(self, f.name), f.name))
 
     def __call__(self, t: float) -> float:
         if self.period is not None:
@@ -64,33 +62,18 @@ class TimeProfile:
         raise NotImplementedError
 
     def to_config(self) -> dict:
+        """The fields that equality compares, by constructor keyword;
+        ``json.dumps`` writes their tuples as lists."""
         cfg = {"type": self.kind}
-        if self.period is not None:
-            cfg["period"] = self.period
-        cfg.update(self._config_fields())
+        cfg.update((f.name, getattr(self, f.name)) for f in fields(self)
+                   if f.compare and getattr(self, f.name) is not None)
         return cfg
 
-    def _config_fields(self) -> dict:
-        raise NotImplementedError
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.to_config() == other.to_config()
-
-    def __hash__(self):
-        return hash((type(self), _frozen(self.to_config())))
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_config().items()
-                           if k != "type")
-        return f"{type(self).__name__}({fields})"
-
-
+@dataclass(frozen=True)
 class Constant(TimeProfile):
     kind = "constant"
-
-    def __init__(self, value: float, period: float | None = None):
-        super().__init__(period)
-        self.value = _finite(value, "value")
+    value: float
 
     def _value(self, t):
         return self.value
@@ -98,10 +81,8 @@ class Constant(TimeProfile):
     def minimum(self):
         return self.value
 
-    def _config_fields(self):
-        return {"value": self.value}
 
-
+@dataclass(frozen=True)
 class Harmonic(TimeProfile):
     """Affine sinusoid ``offset + amplitude * sin(omega (t - phase))``.
 
@@ -110,16 +91,15 @@ class Harmonic(TimeProfile):
     """
 
     kind = "harmonic"
+    offset: float
+    amplitude: float
+    omega: float
+    phase: float = 0.0
+    relative: bool = False
 
-    def __init__(self, offset: float, amplitude: float, omega: float,
-                 phase: float = 0.0, relative: bool = False,
-                 period: float | None = None):
-        super().__init__(period)
-        self.offset = _finite(offset, "offset")
-        self.amplitude = _finite(amplitude, "amplitude")
-        self.omega = _finite(omega, "omega")
-        self.phase = _finite(phase, "phase")
-        self.relative = bool(relative)
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "relative", bool(self.relative))
 
     def _value(self, t):
         s = math.sin(self.omega * (t - self.phase))
@@ -131,30 +111,27 @@ class Harmonic(TimeProfile):
         swing = self.amplitude * (self.offset if self.relative else 1.0)
         return self.offset - abs(swing)
 
-    def _config_fields(self):
-        return {"offset": self.offset, "amplitude": self.amplitude,
-                "omega": self.omega, "phase": self.phase,
-                "relative": self.relative}
 
-
+@dataclass(frozen=True)
 class PiecewiseLinear(TimeProfile):
     """Linear interpolation through ``(t, value)`` knots; clamped outside."""
 
     kind = "piecewise_linear"
+    knots: tuple
+    strict: bool = field(default=False, compare=False)
 
-    def __init__(self, knots, period: float | None = None, strict: bool = False):
-        super().__init__(period)
-        knots = [(_finite(t, "knot time"), _finite(v, "knot value"))
-                 for t, v in knots]
+    def __post_init__(self):
+        super().__post_init__()
+        knots = tuple((_finite(t, "knot time"), _finite(v, "knot value"))
+                      for t, v in self.knots)
         if len(knots) < 2:
             raise ValueError("need at least two knots")
         times = [t for t, _ in knots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("knot times must be strictly increasing")
-        self.knots = tuple(knots)
-        self.strict = strict
-        self._times = times
-        self._values = [v for _, v in knots]
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_values", [v for _, v in knots])
 
     def _value(self, t):
         times, values = self._times, self._values
@@ -173,10 +150,8 @@ class PiecewiseLinear(TimeProfile):
     def minimum(self):
         return min(self._values)
 
-    def _config_fields(self):
-        return {"knots": [[t, v] for t, v in self.knots]}
 
-
+@dataclass(frozen=True)
 class StepSequence(TimeProfile):
     """Piecewise-constant values on right-open intervals ``[t_k, t_{k+1})``.
 
@@ -185,10 +160,12 @@ class StepSequence(TimeProfile):
     """
 
     kind = "step_sequence"
+    intervals: tuple
 
-    def __init__(self, intervals, period: float | None = None):
-        super().__init__(period)
-        intervals = [(_float(te), _finite(v, "value")) for te, v in intervals]
+    def __post_init__(self):
+        super().__post_init__()
+        intervals = tuple((_float(te), _finite(v, "value"))
+                          for te, v in self.intervals)
         if not intervals:
             raise ValueError("need at least one interval")
         ends = [te for te, _ in intervals]
@@ -196,9 +173,9 @@ class StepSequence(TimeProfile):
             raise ValueError("interval ends must be finite (the last may be +inf)")
         if any(b <= a for a, b in zip(ends, ends[1:])):
             raise ValueError("interval ends must be strictly increasing")
-        self.intervals = tuple(intervals)
-        self._ends = ends
-        self._values = [v for _, v in intervals]
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_values", [v for _, v in intervals])
 
     def _value(self, t):
         i = bisect.bisect_right(self._ends, t)
@@ -206,9 +183,6 @@ class StepSequence(TimeProfile):
 
     def minimum(self):
         return min(self._values)
-
-    def _config_fields(self):
-        return {"intervals": [[te, v] for te, v in self.intervals]}
 
 
 _KINDS = {cls.kind: cls for cls in (Constant, Harmonic, PiecewiseLinear,

@@ -1,3 +1,4 @@
+import copy
 import functools
 import inspect
 import json
@@ -197,6 +198,8 @@ class TestCli:
 
 
 def _mutated(path, value, doc=None):
+    if not path:                            # the whole document
+        return copy.deepcopy(value)
     doc = minimal_doc() if doc is None else doc
     *parents, key = path
     target = doc
@@ -286,6 +289,9 @@ VALIDATION_ESCAPES = {
     "step_end_huge_int": (("nodes", 1, "withdrawal"), {
         "type": "step_sequence", "intervals": [[10 ** 400, 1.0],
                                                [1e9, 2.0]]}),
+    "no_pipes": ((), {**minimal_doc(), "nodes": minimal_doc()["nodes"][:1],
+                      "pipes": []}),
+    "wave_speed_1e200": (("eos",), {"kind": "ideal", "wave_speed": 1e200}),
 }
 
 
@@ -315,6 +321,7 @@ def test_fit_temperature_domain_is_one_quiet_violation(case):
 
 @pytest.mark.parametrize("case, reason", [
     ("b1_squared_overflows", "squares beyond the float range"),
+    ("wave_speed_1e200", "squares beyond the float range"),
     ("gravity_100_detailed", "domain"),
     ("gravity_100_nonisothermal", "domain")])
 def test_a_b1_whose_square_overflows_is_one_quiet_violation(case, reason):
@@ -411,6 +418,16 @@ def test_disconnected_graph_fails_validate_and_steady(tmp_path, capsys):
         assert main([command, str(config)]) == 1
         err = capsys.readouterr().err
         assert "not connected" in err and "Traceback" not in err
+
+
+def test_a_graph_without_pipes_fails_every_config_command(tmp_path,
+                                                         capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(_mutated(*VALIDATION_ESCAPES["no_pipes"])))
+    for args in (["validate"], ["steady"], ["run", "--out", str(tmp_path)]):
+        assert main([args[0], str(config), *args[1:]]) == 1
+        assert capsys.readouterr().err == \
+            "error: validation: at least one pipe is required\n"
 
 
 def test_nonisothermal_network_runs(five_node_path, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from gasnetsim import pipe as pipe_ops
 from gasnetsim.eos import (CngaGas, IdealGas, NonIsothermalCnga,
                            TemperatureProfile)
-from gasnetsim.errors import (InfeasibleNodeError, PositivityError,
-                              SimulationError, UnstableRunError)
+from gasnetsim.errors import (ConfigError, InfeasibleNodeError,
+                              PositivityError, SimulationError,
+                              UnstableRunError)
 from gasnetsim.experiments import (WAVE_SPEED_REF, five_node_network,
                                    simulate_network)
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
@@ -61,6 +63,21 @@ class TestValidation:
             Network([Node("a", SlackBC(Constant(1e6))),
                      Node("a", DemandBC(Constant(0.0)))],
                     [PipeEdge("p", "a", "a", geom, grid)], CngaGas())
+
+    def test_rejects_a_graph_without_pipes(self):
+        with pytest.raises(ConfigError) as err:
+            Network([Node("a", SlackBC(Constant(5e6)))], [], CngaGas())
+        assert err.value.violations == ["at least one pipe is required"]
+
+    def test_constant_profiles_read_once_cannot_change(self):
+        # the layout reads each constant profile once, so it must not change
+        net = five_node_network(CngaGas(), dx_target=4000.0)
+        solve_steady_state(net).populate(net)
+        network_step(net, net.cfl_max_dt(0.9))
+        withdrawal = net.node("2").bc.withdrawal
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            withdrawal.value = 50.0
+        assert withdrawal(net.time) == 0.0
 
 
 class TestNodalPressureSolve:

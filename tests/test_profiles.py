@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -112,7 +114,7 @@ def test_config_round_trip():
         StepSequence([(1.0, 2.0), (3.0, 4.0)]),
     ]
     for p in profiles:
-        q = profile_from_config(p.to_config())
+        q = profile_from_config(json.loads(json.dumps(p.to_config())))
         assert q == p
         for t in (0.0, 0.7, 4.0):
             assert q(t) == p(t)
@@ -166,6 +168,16 @@ def test_profiles_as_set_members_and_dict_keys():
     assert Constant(1.0) not in {Constant(1.0, period=7.0)}
     table = {p: i for i, p in enumerate(distinct)}
     assert [table[p] for p in again] == list(range(len(again)))
+
+
+@pytest.mark.parametrize("period", [None, 7.0])
+def test_profiles_are_frozen(period):
+    profiles = _each_kind(period)
+    for p in profiles:
+        for f in dataclasses.fields(p):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, f.name, 1.0)
+    assert profiles == _each_kind(period)
 
 
 @pytest.mark.parametrize("profile", _each_kind(None) + [
