@@ -12,10 +12,12 @@ maps positions to the gas with the local coefficients.  A gas exposes:
 * ``at(x)`` -- the gas at positions ``x``, with per-cell coefficient arrays
   when ``x`` is an array; a uniform gas returns itself
 
-A pipe binds its gas once, ``eos.at(cell_centers)``, and ``gas[i]`` is the
-gas of cell ``i``.  All methods accept scalars or numpy arrays.  Models hold
-no mutable state after construction, so instances can be shared freely
-across concurrent runs.
+A pipe binds its gas once, ``eos.at(cell_centers)``; ``gas[i]`` is the
+gas of cell ``i``, and ``gas[cells]`` of a slice or index array is the gas
+of those cells, read from the bound coefficients and not checked again.
+All methods accept scalars or numpy arrays.  Models hold no mutable state
+after construction, so instances can be shared freely across concurrent
+runs.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ PA_PER_PSI = 6894.75729
 # overflows a float above a gravity of ~83.1
 MAX_FIT_GRAVITY = 80.0
 MIN_FIT_TEMPERATURE = 1.0
+# the fit's b2 = c1 / (6894.75729 T**a3) divides by a float that
+# overflows above ~3.9e79 K
+MAX_FIT_TEMPERATURE = 1e70
+# RT = 287.08 T / G is largest at the domain's hottest, lightest corner,
+# and at 1e70 K it overflows a float below a gravity of ~1.6e-236
+MIN_FIT_GRAVITY = 1e-200
 
 
 def _check_gravity(gravity):
@@ -61,17 +69,22 @@ def _check_gravity(gravity):
 
 def _check_fit_gravity(gravity):
     _check_gravity(gravity)
-    if gravity > MAX_FIT_GRAVITY:
+    if not MIN_FIT_GRAVITY <= gravity <= MAX_FIT_GRAVITY:
         raise ValueError(f"gas gravity {gravity} is beyond the "
-                         f"compressibility fit's domain (at most "
-                         f"{MAX_FIT_GRAVITY:g})")
+                         f"compressibility fit's domain ({MIN_FIT_GRAVITY:g}"
+                         f" to {MAX_FIT_GRAVITY:g})")
 
 
-def _check_fit_temperature(coldest):
-    if not coldest >= MIN_FIT_TEMPERATURE:     # rejects NaN too
+def _check_fit_temperature(coldest, hottest):
+    # written with "not" so that NaN is rejected too
+    if not coldest >= MIN_FIT_TEMPERATURE:
         raise ValueError(f"temperature {coldest} K is below the "
                          f"compressibility fit's domain (at least "
                          f"{MIN_FIT_TEMPERATURE:g} K)")
+    if not hottest <= MAX_FIT_TEMPERATURE:
+        raise ValueError(f"temperature {hottest} K is above the "
+                         f"compressibility fit's domain (at most "
+                         f"{MAX_FIT_TEMPERATURE:g} K)")
 
 
 def gas_constant_from_gravity(gravity: float) -> float:
@@ -88,8 +101,9 @@ def cnga_coefficients(temperature, gravity: float = DEFAULT_GRAVITY):
     """
     _check_fit_gravity(gravity)
     temperature = np.asarray(temperature, dtype=float)
-    # the one reduction: NaN if any is NaN, inf if there are none
-    _check_fit_temperature(temperature.min(initial=math.inf))
+    # NaN if any is NaN; inf and -inf if there are none
+    _check_fit_temperature(temperature.min(initial=math.inf),
+                           temperature.max(initial=-math.inf))
     c1 = FIT_A1 * 10.0 ** (FIT_A2 * gravity) / 1.8 ** FIT_A3
     t_pow = temperature ** FIT_A3
     b1 = 1.0 + c1 * ATMOSPHERE_PSI / t_pow
@@ -174,15 +188,19 @@ class CngaGas:
         """The gas at positions ``x``: the same everywhere."""
         return self
 
-    def __getitem__(self, i) -> "CngaGas":
-        """The gas of cell ``i`` of a gas bound to a grid."""
+    def __getitem__(self, cells) -> "CngaGas":
+        """The gas of ``cells`` of a gas bound to a grid: one cell's with
+        float coefficients for an index, the cells' coefficient arrays for
+        a slice or an index array.  A uniform gas returns itself."""
         coefficients = (self.b1, self.b2, self.rt)
         if not any(getattr(c, "ndim", 0) for c in coefficients):
             return self
-        cell = object.__new__(CngaGas)    # skips re-validating a valid gas
-        cell.b1, cell.b2, cell.rt = (
-            float(c[i]) if getattr(c, "ndim", 0) else c for c in coefficients)
-        return cell
+        one = isinstance(cells, (int, np.integer))
+        part = object.__new__(CngaGas)    # a part of a valid gas is valid
+        part.b1, part.b2, part.rt = (
+            c if not getattr(c, "ndim", 0) else
+            float(c[cells]) if one else c[cells] for c in coefficients)
+        return part
 
     def density(self, p):
         _check_nonnegative(p, "pressure")
@@ -236,8 +254,9 @@ class NonIsothermalCnga:
 
     def __post_init__(self):
         _check_fit_gravity(self.gravity)
-        ambient = self.profile.ambient      # T(x >= 0) >= the smaller end
-        _check_fit_temperature(min(ambient, ambient + self.profile.jump))
+        ambient = self.profile.ambient     # T(x >= 0) lies between the ends
+        ends = ambient, ambient + self.profile.jump
+        _check_fit_temperature(min(ends), max(ends))
 
     def at(self, x) -> CngaGas:
         """The gas with ``from_temperature``'s fit at ``T(x)``."""

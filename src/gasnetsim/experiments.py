@@ -24,7 +24,7 @@ from .eos import CngaGas, IdealGas, NonIsothermalCnga, TemperatureProfile
 from .errors import CflViolationError, ConfigError, SimulationError
 from .network import Network, _node_arrays, grid_for_length, network_step
 from .pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState, PressureBC,
-                   face_velocity, uniform_state)
+                   uniform_state)
 from .profiles import Constant, Harmonic, StepSequence
 from .steady import solve_steady_state
 
@@ -198,11 +198,11 @@ def simulate_pipe(geom: PipeGeometry, grid: PipeGrid, eos, state: PipeState,
         pipe_ops.step(state, geom, grid, gas, bc_left, bc_right, dt, "main")
 
     def sample():
-        v = face_velocity(state)
-        return [float(x) for x in (gas[0].pressure(state.rho[0]),
-                                   gas[-1].pressure(state.rho[-1]),
-                                   state.rho[0], state.rho[-1],
-                                   state.phi[0], state.phi[-1], v[0], v[-1])]
+        rho, phi = state.rho, state.phi
+        return [float(x) for x in (gas[0].pressure(rho[0]),
+                                   gas[-1].pressure(rho[-1]), rho[0], rho[-1],
+                                   phi[0], phi[-1], phi[0] / rho[0],
+                                   phi[-1] / rho[-1])]
 
     def total_mass():
         return pipe_ops.total_mass(state, geom, grid)

@@ -89,8 +89,12 @@ class _End:
     cell: int           # boundary cell index into rho
     face: int           # boundary face index into phi
     inner: int          # face adjacent to the boundary face
-    gas: CngaGas        # gas of the boundary cell
     ratio: TimeProfile = UNIT_RATIO
+
+    @property
+    def gas(self) -> CngaGas:
+        """Gas of the boundary cell."""
+        return self.edge.gas[self.cell]
 
     @property
     def area(self) -> float:
@@ -179,10 +183,10 @@ class Network:
             e.gas = eos.at(e.grid.cell_centers)
             self.incidence[e.from_node].append(_End(
                 edge=e, sgn=-1, cell=0, face=0, inner=1,
-                gas=e.gas[0], ratio=e.inlet_ratio or UNIT_RATIO))
+                ratio=e.inlet_ratio or UNIT_RATIO))
             self.incidence[e.to_node].append(_End(
                 edge=e, sgn=+1, cell=-1, face=-1, inner=-2,
-                gas=e.gas[-1], ratio=e.outlet_ratio or UNIT_RATIO))
+                ratio=e.outlet_ratio or UNIT_RATIO))
         self._dual_compressor_edges = [e for e in self.edges
                                        if e.inlet_ratio and e.outlet_ratio]
         self._flat = _FlatLayout(self)
@@ -342,25 +346,20 @@ class _FlatLayout:
             return np.concatenate(parts[:-1], dtype=float)
         self.dx = per_cell([e.grid.dx for e in edges], math.inf)
 
-        gases = [e.gas for e in edges]
         # a gas shared by every cell stays scalar only for speed: per-cell
-        # copies of its coefficients give the same bits, at more cost
-        shared = gases[0] if all(g is gases[0] for g in gases) and \
-            gases[0][0] is gases[0] else None
-        coefficients = [per_cell([getattr(g, c) for g in gases], ghost)
-                        for c, ghost in zip(("b1", "b2", "rt"), _GHOST_GAS)]
-
-        def gas_of(cells):
-            if shared is not None:
-                return shared
-            return CngaGas(*(c[cells] for c in coefficients))
-        self.gas = gas_of(slice(None))
+        # copies of its coefficients give the same bits, at more cost; the
+        # gas of any cells is self.gas[cells]
+        shared = edges[0].gas
+        self.gas = shared if shared[0] is shared and \
+            all(e.gas is shared for e in edges) else CngaGas(*(
+                per_cell([getattr(e.gas, c) for e in edges], ghost)
+                for c, ghost in zip(("b1", "b2", "rt"), _GHOST_GAS)))
 
         self.mass_weights = [e.geometry.area * e.grid.dx for e in edges]
         self.cell_weights = per_cell(self.mass_weights, 0.0)
         self.pipe_area = np.array([e.geometry.area for e in edges])
-        self.inlet_gas = gas_of(self.first)
-        self.outlet_gas = gas_of(self.last_cell)
+        self.inlet_gas = self.gas[self.first]
+        self.outlet_gas = self.gas[self.last_cell]
 
         self.node_ids = [node.id for node in nodes]
         kinds = [0 if node.is_slack else
@@ -401,34 +400,18 @@ class _FlatLayout:
         self.area_dx = np.array([e.area * e.dx for _, e in ends])
         self.sgn_area = np.array([e.sgn * e.area for _, e in ends])
         self.ratios = _fold([e.ratio for _, e in ends])
-        self.slack_gas = gas_of(self.end_cell[self.slack])
-        self.solved_poly = gas_of(self.end_cell[self.solved]).density_poly()
-        # (nodes, their first pipe ends, the gas of those ends' cells) of
-        # the demand nodes that report a boundary-cell pressure: all of them
-        # before a step, the dead ends after one
+        self.slack_gas = self.gas[self.end_cell[self.slack]]
+        self.solved_poly = self.gas[self.end_cell[self.solved]].density_poly()
+        # the demand nodes, solved then dead ends, with their first pipe
+        # ends and the gas of those ends' cells: a node reports its
+        # boundary cell's pressure, pulled back through the end's ratio
         first = {}
         for j, (i, _) in enumerate(ends):
             first.setdefault(i, j)
-
-        def report(group):
-            first_ends = np.array([first[i] for i in group], dtype=np.intp)
-            return (np.array(group, dtype=np.intp), first_ends,
-                    gas_of(self.end_cell[first_ends]))
-        self.demand_report = report(groups[1] + groups[2])
-        self.dead_report = report(groups[2])
-
-    def alphas(self, t) -> np.ndarray:
-        """Boost ratio of every pipe end at time ``t``."""
-        return _at(self.ratios, t)
-
-    def pressures(self, slack, solved=None) -> np.ndarray:
-        """Nodal pressures from the slack nodes' and, if given, the solved
-        nodes' values; the others unset."""
-        p = np.empty(len(self.node_ids))
-        p[self.slack_nodes] = slack
-        if solved is not None:
-            p[self.solved_nodes] = solved
-        return p
+        demand = groups[1] + groups[2]
+        self.report_nodes = np.array(demand, dtype=np.intp)
+        self.report_ends = np.array([first[i] for i in demand], dtype=np.intp)
+        self.report_gas = self.gas[self.end_cell[self.report_ends]]
 
     def locate(self, index: int) -> tuple:
         """``(pipe position, pipe-local index)`` of a flat cell or face."""
@@ -519,7 +502,7 @@ def _nodal_phase(net: Network, plan: _StepPlan, t_half, t_next):
     pressures at ``t_next`` (``None`` for no solved node).
     """
     fl, rho, phi = net._flat, net.rho, net.phi
-    alpha = fl.alphas(t_next)
+    alpha = _at(fl.ratios, t_next)
     p_slack = _at(fl.slack_pressures, t_next)
     q = _at(fl.withdrawals, t_half)
     rho_end, phi_inner = rho[plan.cell], phi[plan.inner]
@@ -632,15 +615,19 @@ def node_arrays(net: Network) -> tuple:
 
 def _node_arrays(net: Network) -> tuple:
     fl = net._flat
-    if net._solve is not None:
-        alpha, p_slack, p_solved = net._solve
-        p = fl.pressures(p_slack, p_solved)
-        nodes, ends, gas = fl.dead_report
-    else:
-        alpha = fl.alphas(net.time)
-        p = fl.pressures(_at(fl.slack_pressures, net.time))
-        nodes, ends, gas = fl.demand_report
-    p[nodes] = gas.pressure(net.rho[fl.end_cell[ends]]) / alpha[ends]
+    p = np.empty(len(fl.node_ids))
+    if net._solve is None:      # every demand node is pulled back
+        alpha = _at(fl.ratios, net.time)
+        p[fl.slack_nodes] = _at(fl.slack_pressures, net.time)
+        pulled = slice(None)
+    else:                       # the dead ends; the step solved the others
+        alpha, p[fl.slack_nodes], p_solved = net._solve
+        if p_solved is not None:
+            p[fl.solved_nodes] = p_solved
+        pulled = slice(fl.solved_nodes.size, None)
+    ends = fl.report_ends[pulled]
+    p[fl.report_nodes[pulled]] = fl.report_gas[pulled].pressure(
+        net.rho[fl.end_cell[ends]]) / alpha[ends]
     netflow = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],
                           len(p))
     return p, netflow

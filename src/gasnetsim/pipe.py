@@ -223,13 +223,3 @@ def step(state: PipeState, geom: PipeGeometry, grid: PipeGrid, gas,
         phi[-1] = bc_right.profile(t + 0.5 * dt)
     density_update(state, grid, dt, pipe_id)
     return state
-
-
-def face_velocity(state: PipeState) -> np.ndarray:
-    """Diagnostic gas velocity phi/rho at faces; interior faces average the
-    two adjacent cell densities, boundary faces use the boundary cell."""
-    rho_face = np.empty_like(state.phi)
-    rho_face[1:-1] = 0.5 * (state.rho[:-1] + state.rho[1:])
-    rho_face[0] = state.rho[0]
-    rho_face[-1] = state.rho[-1]
-    return state.phi / rho_face

@@ -292,6 +292,15 @@ VALIDATION_ESCAPES = {
     "no_pipes": ((), {**minimal_doc(), "nodes": minimal_doc()["nodes"][:1],
                       "pipes": []}),
     "wave_speed_1e200": (("eos",), {"kind": "ideal", "wave_speed": 1e200}),
+    "temperature_1e300_detailed": (("eos",), {
+        "kind": "cnga_detailed", "t_kelvin": 1e300, "gas_gravity": 0.65}),
+    "temperature_1e80_detailed": (("eos",), {
+        "kind": "cnga_detailed", "t_kelvin": 1e80, "gas_gravity": 0.65}),
+    "temperature_jump_1e300_nonisothermal": (("eos",), {
+        "kind": "cnga_nonisothermal", "t_ambient": 288.0, "t_jump": 1e300,
+        "decay_rate": 1e-3, "gas_gravity": 0.65}),
+    "gravity_1e-300_detailed": (("eos",), {
+        "kind": "cnga_detailed", "t_kelvin": 1e6, "gas_gravity": 1e-300}),
 }
 
 
@@ -308,9 +317,14 @@ def test_validation_escapes_are_listed(path, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["temperature_tiny_detailed",
-                                  "temperature_tiny_nonisothermal"])
+                                  "temperature_tiny_nonisothermal",
+                                  "temperature_1e300_detailed",
+                                  "temperature_1e80_detailed",
+                                  "temperature_jump_1e300_nonisothermal",
+                                  "gravity_1e-300_detailed"])
 def test_fit_temperature_domain_is_one_quiet_violation(case):
-    # below the fit's domain T**3.825 underflows to 0 and b1 to inf
+    # below the fit's domain T**3.825 underflows to 0 and b1 to inf; above
+    # it T**3.825 or b2's divisor overflows, and below its gravity RT does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError) as err:

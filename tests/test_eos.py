@@ -8,7 +8,8 @@ from gasnetsim.eos import (CngaGas, IdealGas, NonIsothermalCnga,
                            gas_constant_from_gravity, make_eos,
                            DEFAULT_B1, DEFAULT_B2, DEFAULT_RT,
                            DEFAULT_GRAVITY, FIT_A1, FIT_A2, FIT_A3,
-                           MAX_FIT_GRAVITY, MIN_FIT_TEMPERATURE)
+                           MAX_FIT_GRAVITY, MAX_FIT_TEMPERATURE,
+                           MIN_FIT_GRAVITY, MIN_FIT_TEMPERATURE)
 
 T_REF = 288.706
 
@@ -57,8 +58,22 @@ def test_fit_temperature_domain_keeps_coefficients_finite():
         NonIsothermalCnga(TemperatureProfile(colder, 40.0, 1e-3))
 
 
+def test_fit_domain_hottest_corner_keeps_coefficients_finite():
+    # the hottest fit at the smallest gravity has finite b1, b2 and RT,
+    # and no hotter one is made, in an array or along a temperature profile
+    gas = CngaGas.from_temperature(MAX_FIT_TEMPERATURE, MIN_FIT_GRAVITY)
+    assert all(0 <= c < math.inf for c in (gas.b1, gas.b2, gas.rt))
+    hotter = math.nextafter(MAX_FIT_TEMPERATURE, math.inf)
+    with pytest.raises(ValueError, match="domain"):
+        cnga_coefficients(np.array([T_REF, hotter]))
+    with pytest.raises(ValueError, match="domain"):
+        NonIsothermalCnga(TemperatureProfile(T_REF, hotter - T_REF, 1e-3))
+    with pytest.raises(ValueError, match="domain"):
+        NonIsothermalCnga(TemperatureProfile(hotter, -40.0, 1e-3))
+
+
 @pytest.mark.parametrize("gravity", [0.0, -0.6, math.nan, math.inf, 100.0,
-                                     200.0])
+                                     200.0, 1e-300])
 def test_fit_rejects_bad_gravity(gravity):
     with pytest.raises(ValueError, match="gas gravity"):
         cnga_coefficients(288.0, gravity)

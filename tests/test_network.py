@@ -1,10 +1,13 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gasnetsim import pipe as pipe_ops
+from gasnetsim.config import build_network, parse_config
 from gasnetsim.eos import (CngaGas, IdealGas, NonIsothermalCnga,
                            TemperatureProfile)
 from gasnetsim.errors import (ConfigError, InfeasibleNodeError,
@@ -22,6 +25,8 @@ from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState,
                             uniform_state)
 from gasnetsim.profiles import Constant, Harmonic, StepSequence
 from gasnetsim.steady import solve_steady_state
+
+MESH_SMALL = Path(__file__).with_name("data") / "mesh_small.json"
 
 
 def two_node_net(eos, q=120.0, n_cells=20, pressure=None):
@@ -247,6 +252,49 @@ class TestNetworkStep:
             [end.gas for ends in net.incidence.values() for end in ends]
         assert len(gases) == 3 * len(net.edges)
         assert all(gas.b2 == 0 for gas in gases)
+
+    def test_per_cell_gases_are_parts_of_one_flat_gas(self, monkeypatch):
+        doc = json.loads(MESH_SMALL.read_text())
+        doc["eos"] = {"kind": "cnga_nonisothermal", "t_ambient": 288.706,
+                      "t_jump": 40.0, "decay_rate": 1e-4,
+                      "gas_gravity": 0.65}
+        cfg = parse_config(doc)
+        built, init = [], CngaGas.__init__
+
+        def counted(gas, *args):
+            built.append(gas)
+            init(gas, *args)
+        monkeypatch.setattr(CngaGas, "__init__", counted)
+        net = build_network(cfg, dx_target=2000.0)
+        monkeypatch.undo()
+        fl = net._flat
+        assert built == [fl.gas]    # the one validated build
+
+        def validated(cells):
+            return CngaGas(fl.gas.b1[cells], fl.gas.b2[cells],
+                           fl.gas.rt[cells])
+        parts = {"inlet_gas": fl.first, "outlet_gas": fl.last_cell,
+                 "slack_gas": fl.end_cell[fl.slack],
+                 "report_gas": fl.end_cell[fl.report_ends]}
+        assert fl.solved.stop > fl.solved.start and fl.dead.stop > \
+            fl.dead.start
+        for name, cells in parts.items():
+            part, whole = getattr(fl, name), validated(cells)
+            for c in ("b1", "b2", "rt"):
+                assert np.array_equal(getattr(part, c), getattr(whole, c))
+        u, v = validated(fl.end_cell[fl.solved]).density_poly()
+        assert np.array_equal(fl.solved_poly[0], u)
+        assert np.array_equal(fl.solved_poly[1], v)
+        for index in (3, np.intp(3), -1):
+            cell = fl.gas[index]
+            assert all(type(c) is float for c in (cell.b1, cell.b2, cell.rt))
+            assert (cell.b1, cell.b2, cell.rt) == (
+                fl.gas.b1[index], fl.gas.b2[index], fl.gas.rt[index])
+        for end in (end for ends in net.incidence.values() for end in ends):
+            gas = end.edge.gas
+            assert type(end.gas.b1) is float
+            assert (end.gas.b1, end.gas.b2, end.gas.rt) == (
+                gas.b1[end.cell], gas.b2[end.cell], gas.rt[end.cell])
 
     def test_network_mass_ledger(self):
         eos = CngaGas()
