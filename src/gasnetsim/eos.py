@@ -208,9 +208,25 @@ class CngaGas:
 
     def pressure(self, rho):
         _check_nonnegative(rho, "density")
-        rtrho = self.rt * rho
-        return 2.0 * rtrho / (self.b1 + np.sqrt(self.b1 * self.b1 +
-                                                4.0 * self.b2 * rtrho))
+        return self._pressure(rho)
+
+    def _pressure(self, rho, out=None, scratch=None):
+        """``pressure`` without its check.  Given ``out`` and ``scratch``,
+        arrays of the result's shape, it works in them and returns
+        ``out``; without them a scalar stays a scalar (a ufunc's
+        ``out=None`` alone costs more than a scalar's operation)."""
+        if out is None:
+            p = self.rt * rho
+            den = 4.0 * self.b2 * p
+        else:
+            p = np.multiply(self.rt, rho, out=out)
+            den = np.multiply(4.0 * self.b2, p, out=scratch)
+        den += self.b1 * self.b1
+        den = np.sqrt(den) if out is None else np.sqrt(den, out=den)
+        den += self.b1
+        p *= 2.0
+        p /= den
+        return p
 
     def compressibility(self, p):
         _check_nonnegative(p, "pressure")

@@ -18,8 +18,9 @@ assigning every pipe-end flux (all nodes at once, gathered by incidence
 index arrays and summed per node with ``np.bincount``), then the density
 update of every cell.  Per-node sums always run in fixed incidence order,
 so results are deterministic.  The network reads its constant profiles
-once; the dt-scaled coefficients a step reads are a step plan, built once
-per ``(network, dt)`` and rebuilt when ``dt`` or the bound states change.
+once; the dt-scaled coefficients a step reads and the buffers it writes
+are a step plan, built once per ``(network, dt)`` and rebuilt when ``dt``
+or the bound states change.
 """
 
 from __future__ import annotations
@@ -420,16 +421,18 @@ class _FlatLayout:
 
 
 class _StepPlan:
-    """What every step at one ``dt`` over the bound states reads.
+    """What every step at one ``dt`` over the bound states reads and writes.
 
-    The dt-scaled coefficients; views of the flat state and a buffer for
-    the density increment; and each group of pipe ends' indices and
-    products, ``None`` for an empty group (the slack group never is: a
-    valid network has a slack node, with a pipe end).  The ends whose flux
-    lands their boundary cell on a target density (slack and solved, in
-    that order) are gathered together.  ``sgn dx/dt``, ``4 w v`` and a dead
-    end's ``sgn S`` scale by a sign or a power of two, so each rounds as the
-    product it replaces.
+    The dt-scaled coefficients; views of the flat state; buffers for the
+    cell pressures and their scratch, for the face kernel's scratch (the
+    second takes the new fluxes) and for the density increment, so that a
+    step allocates no array of the cells' or faces' size; and each group
+    of pipe ends' indices and products, ``None`` for an empty group (the
+    slack group never is: a valid network has a slack node, with a pipe
+    end).  The ends whose flux lands their boundary cell on a target
+    density (slack and solved, in that order) are gathered together.
+    ``sgn dx/dt``, ``4 w v`` and a dead end's ``sgn S`` scale by a sign or
+    a power of two, so each rounds as the product it replaces.
     """
 
     def __init__(self, net: Network, dt: float):
@@ -440,7 +443,9 @@ class _StepPlan:
         self.dt_dx = dt / fl.dx    # 0 at a ghost
         self.faces = net.phi[1:-1]    # every face between two cells
         self.upper, self.lower = net.phi[1:], net.phi[:-1]
-        self.increment = np.empty_like(net.rho)
+        self.pressure, self.pressure_scratch, self.increment = (
+            np.empty_like(net.rho) for _ in range(3))
+        self.scratch = tuple(np.empty_like(self.faces) for _ in range(4))
 
         t = fl.targeted
         self.cell, self.inner = fl.end_cell[t], fl.end_inner[t]
@@ -563,8 +568,12 @@ def network_step(net: Network, dt: float) -> None:
                 f"compressors at both ends of pipe {e.id} active at t={t_next}")
 
     fl, rho = net._flat, net.rho
-    new = pipe_ops.face_fluxes(rho, fl.gas.pressure(rho), plan.faces,
-                               plan.beta_dt, plan.face_dt_dx)
+    # the gas's own check, in one reduction: fmin skips NaN, as it does
+    if np.fmin.reduce(rho) < 0.0:
+        raise ValueError("density must be non-negative")
+    p = fl.gas._pressure(rho, plan.pressure, plan.pressure_scratch)
+    new = pipe_ops.face_fluxes(rho, p, plan.faces, plan.beta_dt,
+                               plan.face_dt_dx, plan.scratch)
     if not np.isfinite(new).all():
         # the faces beside a ghost are pipe ends, which the nodal phase sets
         bad = ~np.isfinite(new)

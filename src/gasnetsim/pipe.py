@@ -105,42 +105,50 @@ def friction_invert(y, a):
     return float(out[0]) if scalar else out
 
 
-def _friction_root(y, a):
+def _friction_root(y, a, ay=None, den=None):
     """``friction_invert``'s root, without its sign check, written into
-    ``y``, a scratch array of the result's shape."""
-    ay = np.abs(y)
-    den = 4.0 * a * ay
+    ``y``, a scratch array of the result's shape; ``ay`` and ``den``, when
+    given, are two more, for its temporaries.
+
+    The root is ``sign(y) 2|y| / den``: ``2 y`` gives its bits, and
+    ``+ 0.0`` turns -0.0 into the 0.0 that ``sign`` gives.
+    """
+    ay = np.abs(y, out=ay)
+    den = np.multiply(4.0, a, out=den)
+    den *= ay
     den += 1.0
     np.sqrt(den, out=den)
     den += 1.0
-    np.sign(y, out=y)
     y *= 2.0
-    y *= ay
+    y += 0.0
     y /= den
     return y
 
 
-def face_fluxes(rho, p, phi, beta_dt, dt_dx):
+def face_fluxes(rho, p, phi, beta_dt, dt_dx, scratch=(None,) * 4):
     """New fluxes at the faces between consecutive cells ``rho[:-1]`` and
     ``rho[1:]``, from the faces' current fluxes ``phi`` and the cell
     pressures ``p``; ``beta_dt`` (``beta dt``) and ``dt_dx`` are scalars or
     per-face arrays.  With positive densities and ``dt`` the friction
     context ``a`` is non-negative, so ``friction_invert``'s check is
-    skipped.
+    skipped.  ``scratch`` holds four arrays of the faces' shape for the
+    temporaries, the first two ``a`` and the result, or ``None`` for each
+    to be allocated.
 
     Each face decouples: with ``a = beta dt / (rho_i + rho_{i+1})`` the new
     flux solves ``x (1 + a |x|) = phi - (dt/dx)(p_{i+1} - p_i) - a phi|phi|``.
     """
-    a = rho[:-1] + rho[1:]
+    a, y, t, u = scratch
+    a = np.add(rho[:-1], rho[1:], out=a)
     np.divide(beta_dt, a, out=a)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = p[1:] - p[:-1]
+        y = np.subtract(p[1:], p[:-1], out=y)
         y *= dt_dx
         np.subtract(phi, y, out=y)
-        drag = a * phi
-        drag *= np.abs(phi)
+        drag = np.multiply(a, phi, out=t)
+        drag *= np.abs(phi, out=u)
         y -= drag
-        return _friction_root(y, a)
+        return _friction_root(y, a, t, u)
 
 
 def interior_flux_update(state: PipeState, geom: PipeGeometry, grid: PipeGrid,

@@ -171,6 +171,27 @@ def test_scalar_and_per_cell_gas_agree_bitwise():
     assert np.array_equal(scalar.wave_speed_sq(rho), cells.wave_speed_sq(rho))
 
 
+@pytest.mark.parametrize("per_cell", [False, True],
+                         ids=["scalar", "per-cell"])
+def test_pressure_into_buffers_is_the_formula_bitwise(per_cell):
+    # the network's step writes the pressures into buffers of its own
+    rho = np.concatenate(([0.0, 5e-324, 1e-310], np.geomspace(1e-3, 1e4,
+                                                               997)))
+    b1, b2, rt = 1.226889791275418, DEFAULT_B2, DEFAULT_RT
+    gas = CngaGas(*(np.full(rho.size, c) for c in (b1, b2, rt))) \
+        if per_cell else CngaGas(b1=b1, b2=b2, rt=rt)
+    rtrho = gas.rt * rho
+    formula = 2.0 * rtrho / (gas.b1 + np.sqrt(gas.b1 * gas.b1 +
+                                              4.0 * gas.b2 * rtrho))
+    out, scratch = np.empty_like(rho), np.empty_like(rho)
+    written = gas._pressure(rho, out, scratch)
+    assert written is out
+    for p in (gas.pressure(rho), out):
+        assert np.array_equal(p.view(np.int64), formula.view(np.int64))
+    point = gas[5] if per_cell else gas
+    assert point.pressure(rho[5]) == formula[5]
+
+
 def test_pressure_strictly_increasing():
     model = CngaGas()
     rho = np.linspace(1e-3, 200.0, 1000)

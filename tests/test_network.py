@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +481,42 @@ class TestFlatStep:
         net.edge("m").state.rho[4] = -1.0
         with pytest.raises(ValueError, match="density must be non-negative"):
             network_step(net, 1.0)
+
+    def test_a_nan_density_is_not_a_negative_one(self):
+        # the negative-density screen skips NaN: a NaN cell alone makes its
+        # faces non-finite, and a negative cell beside it is still refused
+        net = chain_network()
+        network_step(net, 1.0)
+        net.edge("m").state.rho[4] = np.nan
+        before = states_of(net)
+        with pytest.raises(UnstableRunError,
+                           match="face 4 of pipe m, step 1"):
+            network_step(net, 1.0)
+        for (rho, phi), (rho_b, phi_b) in zip(states_of(net), before):
+            assert np.array_equal(rho, rho_b, equal_nan=True)
+            assert np.array_equal(phi, phi_b)
+        net.edge("c").state.rho[2] = -1.0
+        with pytest.raises(ValueError, match="density must be non-negative"):
+            network_step(net, 1.0)
+        assert net.step_index == 1
+
+    def test_a_warm_step_allocates_no_cell_or_face_array(self):
+        net = five_node_network(CngaGas(), dx_target=62.5)
+        solve_steady_state(net).populate(net)
+        dt = 0.5 * net.cfl_max_dt()
+        for _ in range(3):
+            network_step(net, dt)
+        face_bytes = net.phi[1:-1].nbytes
+        assert net.rho.size > 1000
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for _ in range(20):
+                network_step(net, dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < face_bytes
 
     def test_drained_cell_names_pipe_and_local_cell(self):
         net = chain_network()

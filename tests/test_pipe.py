@@ -58,6 +58,45 @@ class TestFrictionInvert:
         with pytest.raises(ValueError):
             friction_invert(1.0, -1e-9)
 
+    def test_root_matches_the_sign_form_bitwise(self):
+        def sign_form(y, a):
+            """The root as ``sign(y) 2|y| / den``."""
+            ay = np.abs(y)
+            den = 4.0 * a * ay
+            den += 1.0
+            np.sqrt(den, out=den)
+            den += 1.0
+            np.sign(y, out=y)
+            y *= 2.0
+            y *= ay
+            y /= den
+            return y
+
+        rng = np.random.default_rng(2024)
+        n = 200_000
+        y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-330, 308.2, n)
+        a = 10.0 ** rng.uniform(-330, 308.2, n)
+        a[::7] = 0.0
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                            -5e-324, 2.2e-308, -1e-310, 1.0, -1.0,
+                            np.finfo(float).max, -np.finfo(float).max])
+        y = np.concatenate((y, np.repeat(special, special.size)))
+        a = np.concatenate((a, np.abs(np.tile(special, special.size))))
+        with np.errstate(all="ignore"):
+            want = sign_form(y.copy(), a)
+            got = pipe_ops._friction_root(y.copy(), a)
+            scratch = [np.empty_like(y) for _ in range(2)]
+            into = pipe_ops._friction_root(y.copy(), a, *scratch)
+        for root in (got, into):
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(root), nan)
+            assert np.array_equal(root[~nan].view(np.int64),
+                                  want[~nan].view(np.int64))
+        # the root of -0.0 is 0.0
+        negative_zero = (y == 0.0) & np.signbit(y) & ~nan
+        assert nan.any() and np.isinf(want).any() and negative_zero.any()
+        assert not np.signbit(want[negative_zero]).any()
+
 
 @pytest.fixture
 def cnga():
