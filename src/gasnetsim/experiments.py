@@ -530,9 +530,16 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
         masses = net._pipe_masses()
         return sum(masses)
 
+    # every sample fills one vector, a node's two values after another's
+    # and then a pipe's five records after another's, and is copied out
+    values = np.empty(2 * len(net.nodes) + 5 * len(net.edges))
+    nodes = values[:2 * len(net.nodes)].reshape(-1, 2)
+    pipes = values[nodes.size:].reshape(-1, 5)
+
     def sample():
-        return np.concatenate((np.column_stack(_node_arrays(net)).ravel(),
-                               net._pipe_records(masses).ravel())).tolist()
+        _node_arrays(net, nodes[:, 0], nodes[:, 1])
+        net._pipe_records(masses, pipes)
+        return values.tolist()
 
     # each step's ledger check reads one weighted sum of the flat state;
     # only samples sum each pipe's mass

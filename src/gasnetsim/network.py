@@ -18,9 +18,10 @@ assigning every pipe-end flux (all nodes at once, gathered by incidence
 index arrays and summed per node with ``np.bincount``), then the density
 update of every cell.  Per-node sums always run in fixed incidence order,
 so results are deterministic.  The network reads its constant profiles
-once; the dt-scaled coefficients a step reads and the buffers it writes
-are a step plan, built once per ``(network, dt)`` and rebuilt when ``dt``
-or the bound states change.
+once; the dt-scaled coefficients a step reads, the nodal terms that only
+constant profiles feed and the buffers a step writes are a step plan,
+built once per ``(network, dt)`` and rebuilt when ``dt`` or the bound
+states change.
 """
 
 from __future__ import annotations
@@ -268,15 +269,18 @@ class Network:
         return sum((fl.pipe_area * (phi[fl.first] -
                                     phi[fl.last_face])).tolist())
 
-    def _pipe_records(self, masses) -> np.ndarray:
-        """``(p_in, p_out, mflow_in, mflow_out, mass)`` of every pipe, one
-        row per pipe in edge order, for a bound state; ``masses`` are its
-        ``pipe_masses()``, taken as given."""
-        fl, rho, phi = self._flat, self.rho, self.phi
-        return np.column_stack((fl.inlet_gas.pressure(rho[fl.first]),
-                                fl.outlet_gas.pressure(rho[fl.last_cell]),
-                                fl.pipe_area * phi[fl.first],
-                                fl.pipe_area * phi[fl.last_face], masses))
+    def _pipe_records(self, masses, out) -> np.ndarray:
+        """Write ``(p_in, p_out, mflow_in, mflow_out, mass)`` of every pipe
+        into the rows of ``out``, one per pipe in edge order, for a bound
+        state, and return ``out``; ``masses`` are its ``pipe_masses()``,
+        taken as given."""
+        fl = self._flat
+        out[:, :2] = fl.pipe_end_gas.pressure(
+            self.rho[fl.pipe_end_cells]).reshape(-1, 2)
+        out[:, 2:4] = (fl.pipe_end_area *
+                       self.phi[fl.pipe_end_faces]).reshape(-1, 2)
+        out[:, 4] = masses
+        return out
 
     def cfl_max_dt(self, safety: float = 1.0) -> float:
         return min(pipe_ops.cfl_max_dt(e.state, e.grid, e.gas, safety)
@@ -297,6 +301,13 @@ def _fold(profiles) -> tuple:
                        for p, c in zip(profiles, constant)], dtype=float)
     return values, [(j, p) for j, (p, c) in enumerate(zip(profiles, constant))
                     if not c]
+
+
+def _constant(folded, part: slice) -> bool:
+    """Whether every ``_fold``ed profile in ``part`` is ``Constant``."""
+    values, varying = folded
+    span = range(values.size)[part]
+    return not any(j in span for j, _ in varying)
 
 
 def _at(folded, t) -> np.ndarray:
@@ -322,7 +333,9 @@ class _FlatLayout:
     from their mass balance, and dead ends (a demand node with one pipe
     end), each group in node order and each node's ends in incidence
     order.  Boost ratios, slack pressures and withdrawals are ``_fold``ed,
-    so only the profiles that vary are evaluated at each step.
+    so only the profiles that vary are evaluated at each step.  A sample
+    reads each pipe's end cells and faces, and the nodes it reports from
+    a boundary cell, through index arrays and gases built here.
     """
 
     def __init__(self, net: Network):
@@ -359,8 +372,14 @@ class _FlatLayout:
         self.mass_weights = [e.geometry.area * e.grid.dx for e in edges]
         self.cell_weights = per_cell(self.mass_weights, 0.0)
         self.pipe_area = np.array([e.geometry.area for e in edges])
-        self.inlet_gas = self.gas[self.first]
-        self.outlet_gas = self.gas[self.last_cell]
+        # each pipe's first and last cell (and face), pipe after pipe: a
+        # sample's pipe rows read them in one gather each
+        self.pipe_end_cells = np.column_stack(
+            (self.first, self.last_cell)).ravel()
+        self.pipe_end_faces = np.column_stack(
+            (self.first, self.last_face)).ravel()
+        self.pipe_end_gas = self.gas[self.pipe_end_cells]
+        self.pipe_end_area = np.repeat(self.pipe_area, 2)
 
         self.node_ids = [node.id for node in nodes]
         kinds = [0 if node.is_slack else
@@ -403,16 +422,20 @@ class _FlatLayout:
         self.ratios = _fold([e.ratio for _, e in ends])
         self.slack_gas = self.gas[self.end_cell[self.slack]]
         self.solved_poly = self.gas[self.end_cell[self.solved]].density_poly()
-        # the demand nodes, solved then dead ends, with their first pipe
-        # ends and the gas of those ends' cells: a node reports its
-        # boundary cell's pressure, pulled back through the end's ratio
+        # (nodes, their first pipe ends, those ends' cells and the gas of
+        # the cells) of the demand nodes, solved then dead ends, and of the
+        # dead ends alone: a node reports its boundary cell's pressure,
+        # pulled back through the end's ratio
         first = {}
         for j, (i, _) in enumerate(ends):
             first.setdefault(i, j)
-        demand = groups[1] + groups[2]
-        self.report_nodes = np.array(demand, dtype=np.intp)
-        self.report_ends = np.array([first[i] for i in demand], dtype=np.intp)
-        self.report_gas = self.gas[self.end_cell[self.report_ends]]
+
+        def report(nodes):
+            ends = np.array([first[i] for i in nodes], dtype=np.intp)
+            cells = self.end_cell[ends]
+            return np.array(nodes, dtype=np.intp), ends, cells, self.gas[cells]
+        self.report = report(groups[1] + groups[2])
+        self.dead_report = report(groups[2])
 
     def locate(self, index: int) -> tuple:
         """``(pipe position, pipe-local index)`` of a flat cell or face."""
@@ -430,9 +453,19 @@ class _StepPlan:
     of pipe ends' indices and products, ``None`` for an empty group (the
     slack group never is: a valid network has a slack node, with a pipe
     end).  The ends whose flux lands their boundary cell on a target
-    density (slack and solved, in that order) are gathered together.
-    ``sgn dx/dt``, ``4 w v`` and a dead end's ``sgn S`` scale by a sign or
-    a power of two, so each rounds as the product it replaces.
+    density (slack and solved, in that order) are gathered together, and
+    their target densities go to one buffer.  ``sgn dx/dt``, ``4 w v`` and
+    a dead end's ``sgn S`` scale by a sign or a power of two, so each
+    rounds as the product it replaces.
+
+    The nodal terms whose profiles are all ``Constant`` are computed here,
+    once, by the expressions a step uses for them: the slack ends' target
+    densities (constant slack pressures and slack-end ratios), the solved
+    nodes' quadratic coefficients (constant solved-end ratios).  Each
+    folded term (``slack_target``, ``solved_maps``) is ``None`` where some
+    profile feeding it varies, and a step computes it.  So a constant
+    negative slack pressure raises here, at the first step, before the
+    face pass.
     """
 
     def __init__(self, net: Network, dt: float):
@@ -455,7 +488,14 @@ class _StepPlan:
         # every slack node has one end
         self.slack_pos = None if fl.slack.stop == fl.slack_nodes.size \
             else np.searchsorted(fl.slack_nodes, fl.end_node[fl.slack])
-        self.solved = self.dead_face = None
+        self.target = np.empty(t.stop)
+        ratios = fl.ratios[0]    # the constant ones; NaN at the others
+        self.slack_target = self.solved = self.solved_maps = None
+        if not fl.slack_pressures[1] and _constant(fl.ratios, fl.slack):
+            self.slack_target = _slack_targets(
+                fl, self.slack_pos, ratios, fl.slack_pressures[0])
+            self.target[fl.slack] = self.slack_target
+        self.dead_face = None
         m, k = fl.solved, fl.solved_nodes.size
         if k:
             # (each end's node, node count, sgn S, w, w u, 4 w v)
@@ -463,10 +503,31 @@ class _StepPlan:
             u, v = fl.solved_poly
             self.solved = (fl.solved_pos, k, fl.sgn_area[m], w, w * u,
                            4.0 * (w * v))
+            if _constant(fl.ratios, m):
+                self.solved_maps = _solved_maps(self.solved, ratios[m])
         d = fl.dead
         if d.stop > d.start:
             self.dead_face = fl.end_face[d]
             self.dead_sgn_area = fl.sgn_area[d]
+
+
+def _slack_targets(fl: _FlatLayout, slack_pos, alpha, p_slack):
+    """The densities that land the slack ends' boundary cells on their
+    nodes' boosted pressures, for the ends' ratios ``alpha`` and the slack
+    nodes' pressures ``p_slack``."""
+    p_ends = p_slack if slack_pos is None else p_slack[slack_pos]
+    return fl.slack_gas.density(alpha[fl.slack] * p_ends)
+
+
+def _solved_maps(solved: tuple, al) -> tuple:
+    """``(al, a4, b, b * b, degenerate)`` of the solved nodes for the
+    solved ends' ratios ``al``: the sums ``4 w v al**2`` and ``w u al`` of
+    each node's density map, and whether some ``b`` is not positive (fmin
+    skips NaN, as the comparisons of the step's error mask do)."""
+    pos, k, _, _, wu, wv4 = solved
+    b = np.bincount(pos, wu * al, k)
+    return (al, np.bincount(pos, wv4 * al * al, k), b, b * b,
+            bool(np.fmin.reduce(b) <= 0.0))
 
 
 def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
@@ -511,29 +572,29 @@ def _nodal_phase(net: Network, plan: _StepPlan, t_half, t_next):
     p_slack = _at(fl.slack_pressures, t_next)
     q = _at(fl.withdrawals, t_half)
     rho_end, phi_inner = rho[plan.cell], phi[plan.inner]
-    p_ends = p_slack if plan.slack_pos is None else p_slack[plan.slack_pos]
-    rho_t = fl.slack_gas.density(alpha[fl.slack] * p_ends)
+    rho_t = plan.target
+    if plan.slack_target is None:
+        rho_t[fl.slack] = _slack_targets(fl, plan.slack_pos, alpha, p_slack)
 
     k, p_solved = 0, None
     if plan.solved is not None:
-        pos, k, sgn_area, w, wu, wv4 = plan.solved
+        pos, k, sgn_area, w = plan.solved[:4]
         m = fl.solved
-        al = alpha[m]
+        al, a4, b, bb, degenerate = plan.solved_maps or \
+            _solved_maps(plan.solved, alpha[m])
         rhs = np.bincount(pos, w * rho_end[m], k) - q[:k] + \
             np.bincount(pos, sgn_area * phi_inner[m], k)
-        a4 = np.bincount(pos, wv4 * al * al, k)
-        b = np.bincount(pos, wu * al, k)
         # fmin skips NaN, as the comparisons of the mask below do
-        if np.fmin.reduce(rhs) < 0.0 or np.fmin.reduce(b) <= 0.0:
+        if np.fmin.reduce(rhs) < 0.0 or degenerate:
             i = int(np.flatnonzero((rhs < 0.0) | (b <= 0.0))[0])
             raise InfeasibleNodeError(
                 fl.node_ids[fl.solved_nodes[i]],
                 f"balance rhs {rhs[i]:g} < 0" if rhs[i] < 0.0
                 else "degenerate density map")
-        p_solved = 2.0 * rhs / (b + np.sqrt(b * b + a4 * rhs))
+        p_solved = 2.0 * rhs / (b + np.sqrt(bb + a4 * rhs))
         p_end = al * p_solved[pos]
         u, v = fl.solved_poly
-        rho_t = np.concatenate((rho_t, u * p_end + v * p_end ** 2))
+        rho_t[m] = u * p_end + v * p_end ** 2
 
     # the boundary flux that lands each boundary cell on its target density
     phi[plan.face] = phi_inner - plan.sgn_dx_dt * (rho_t - rho_end)
@@ -619,26 +680,26 @@ def node_arrays(net: Network) -> tuple:
     boundary cell's pressure, pulled back through that end's boost ratio.
     """
     net.require_states()
-    return _node_arrays(net)
+    n = len(net._flat.node_ids)
+    return _node_arrays(net, np.empty(n), np.empty(n))
 
 
-def _node_arrays(net: Network) -> tuple:
+def _node_arrays(net: Network, p, netflow) -> tuple:
+    """``node_arrays`` of a bound state, written into the arrays ``p``
+    and ``netflow`` (or views), which it returns."""
     fl = net._flat
-    p = np.empty(len(fl.node_ids))
     if net._solve is None:      # every demand node is pulled back
         alpha = _at(fl.ratios, net.time)
         p[fl.slack_nodes] = _at(fl.slack_pressures, net.time)
-        pulled = slice(None)
+        nodes, ends, cells, gas = fl.report
     else:                       # the dead ends; the step solved the others
         alpha, p[fl.slack_nodes], p_solved = net._solve
         if p_solved is not None:
             p[fl.solved_nodes] = p_solved
-        pulled = slice(fl.solved_nodes.size, None)
-    ends = fl.report_ends[pulled]
-    p[fl.report_nodes[pulled]] = fl.report_gas[pulled].pressure(
-        net.rho[fl.end_cell[ends]]) / alpha[ends]
-    netflow = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],
-                          len(p))
+        nodes, ends, cells, gas = fl.dead_report
+    p[nodes] = gas.pressure(net.rho[cells]) / alpha[ends]
+    netflow[:] = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],
+                             len(fl.node_ids))
     return p, netflow
 
 

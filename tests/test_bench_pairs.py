@@ -44,3 +44,26 @@ def test_a_failed_run_leaves_no_metric_to_compare():
     assert bench_pairs.compare(runs) == {}
     one_pair = bench_pairs.compare([run("parent", 100.0), run("change", 90.0)])
     assert one_pair["step_us"]["parent_quartiles"] == [100.0, 100.0]
+
+
+def test_sign_test_is_exact_and_two_sided():
+    assert bench_pairs.sign_test_p(10, 0) == pytest.approx(0.001953125)
+    assert round(bench_pairs.sign_test_p(0, 10), 5) == 0.00195
+    assert bench_pairs.sign_test_p(5, 5) == 1.0
+    assert bench_pairs.sign_test_p(9, 1) == pytest.approx(22 / 1024)
+    assert bench_pairs.sign_test_p(0, 0) == 1.0
+
+
+def test_the_sign_test_drops_tied_pairs():
+    # 10 of 10 lower, and 5 of 10 lower with 5 higher
+    def step(parent, change):
+        runs = [run(side, v) for p, c in zip(parent, change)
+                for side, v in (("parent", p), ("change", c))]
+        return bench_pairs.compare(runs)["step_us"]
+    assert round(step([100.0] * 10, [90.0] * 10)["sign_test_p"], 5) == \
+        0.00195
+    assert step([100.0] * 10, [90.0] * 5 + [110.0] * 5)["sign_test_p"] == 1.0
+    # two ties leave 8 pairs, all lower
+    tied = step([100.0] * 10, [90.0] * 8 + [100.0] * 2)
+    assert tied["change_lower_in_pairs"] == "8/10"
+    assert tied["sign_test_p"] == pytest.approx(2 / 256)

@@ -1,10 +1,13 @@
 import csv
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gasnetsim import experiments, pipe as pipe_ops
+from gasnetsim.config import build_network, parse_config
 from gasnetsim.errors import SimulationError
 from gasnetsim.experiments import (MassLedger, l2_error, l2_norm,
                                    run_convergence_study,
@@ -317,9 +320,22 @@ def test_step_clock_sees_every_network_step(monkeypatch):
     assert len(calls) == res.summary["steps"]
 
 
-def test_streamed_run_writes_the_unstreamed_rows(tmp_path):
+def _mesh_small():
+    # constant slack pressure and boost ratios, so the step plan folds
+    # their nodal terms, and harmonic withdrawals
+    cfg = parse_config(json.loads((Path(__file__).with_name("data") /
+                                   "mesh_small.json").read_text()))
+    return build_network(cfg, cfg.simulation.dx_target)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: five_node_network(CngaGas(), dx_target=4000.0), _mesh_small],
+    ids=["five_node", "mesh_small"])
+def test_streamed_run_writes_the_unstreamed_rows(tmp_path, build):
+    # a sample vector shared between samples would show in the whole
+    # store's earlier rows
     def run(writer=None):
-        net = five_node_network(CngaGas(), dx_target=4000.0)
+        net = build()
         solve_steady_state(net).populate(net)
         return simulate_network(net, net.cfl_max_dt(0.9), 300.0, 60.0,
                                 writer=writer)

@@ -28,6 +28,10 @@ from gasnetsim.profiles import Constant, Harmonic, StepSequence
 from gasnetsim.steady import solve_steady_state
 
 MESH_SMALL = Path(__file__).with_name("data") / "mesh_small.json"
+# the profile groups of ring_with_compressors; the first three feed a
+# nodal term that the step plan folds when they are Constant
+RING_GROUPS = ("slack_pressure", "slack_ratios", "solved_ratios",
+               "dead_withdrawal", "solved_withdrawals")
 
 
 def two_node_net(eos, q=120.0, n_cells=20, pressure=None):
@@ -274,13 +278,18 @@ class TestNetworkStep:
         def validated(cells):
             return CngaGas(fl.gas.b1[cells], fl.gas.b2[cells],
                            fl.gas.rt[cells])
-        parts = {"inlet_gas": fl.first, "outlet_gas": fl.last_cell,
-                 "slack_gas": fl.end_cell[fl.slack],
-                 "report_gas": fl.end_cell[fl.report_ends]}
+        parts = {"pipe_end_gas": (fl.pipe_end_gas, fl.pipe_end_cells),
+                 "slack_gas": (fl.slack_gas, fl.end_cell[fl.slack]),
+                 "report": fl.report[3:1:-1],
+                 "dead_report": fl.dead_report[3:1:-1]}
         assert fl.solved.stop > fl.solved.start and fl.dead.stop > \
             fl.dead.start
-        for name, cells in parts.items():
-            part, whole = getattr(fl, name), validated(cells)
+        assert np.array_equal(fl.pipe_end_cells[::2], fl.first)
+        assert np.array_equal(fl.pipe_end_cells[1::2], fl.last_cell)
+        for report in (fl.report, fl.dead_report):
+            assert np.array_equal(report[2], fl.end_cell[report[1]])
+        for name, (part, cells) in parts.items():
+            whole = validated(cells)
             for c in ("b1", "b2", "rt"):
                 assert np.array_equal(getattr(part, c), getattr(whole, c))
         u, v = validated(fl.end_cell[fl.solved]).density_poly()
@@ -719,12 +728,14 @@ class TestFlatStep:
         pipes = sum(net.pipe_masses())
         assert abs(net._flat_mass() - pipes) <= 1e-14 * pipes
 
-    def test_constant_and_varying_profiles_step_bitwise(self):
-        # the same values as Constant profiles, which the network reads
-        # once, and as StepSequence ones, which every step evaluates
-        nets = [ring_with_compressors(Constant),
-                ring_with_compressors(lambda v: StepSequence([(math.inf,
-                                                               v)]))]
+    @pytest.mark.parametrize("varying", [RING_GROUPS,
+                                         *((g,) for g in RING_GROUPS)],
+                             ids=["all", *RING_GROUPS])
+    def test_constant_and_varying_profiles_step_bitwise(self, varying):
+        # the same values as Constant profiles, whose nodal terms the step
+        # plan folds, and as StepSequence ones, which every step evaluates:
+        # every group at once, then one group while the rest stay Constant
+        nets = [ring_with_compressors(), ring_with_compressors(varying)]
         dt = 0.5 * nets[0].cfl_max_dt()
         for _ in range(20):
             for net in nets:
@@ -734,25 +745,59 @@ class TestFlatStep:
             assert np.array_equal(rho, rho_2) and np.array_equal(phi, phi_2)
             for a, b in zip(nodes, nodes_2):
                 assert np.array_equal(a, b)
+        # each fold is off exactly where a group that feeds it varies
+        folded, unfolded = (net._plan for net in nets)
+        assert folded.slack_target is not None and \
+            folded.solved_maps is not None
+        assert (unfolded.slack_target is None) is (
+            "slack_pressure" in varying or "slack_ratios" in varying)
+        assert (unfolded.solved_maps is None) is ("solved_ratios" in varying)
+
+    def test_zero_ratios_at_a_junction_are_degenerate_in_the_first_step(self):
+        net = chain_network()
+        net.edge("a").outlet_ratio = net.edge("m").inlet_ratio = Constant(0.0)
+        net = Network(net.nodes, net.edges, net.eos)
+        with pytest.raises(InfeasibleNodeError,
+                           match="node b: degenerate density map"):
+            network_step(net, 1.0)
+        assert net.step_index == 0 and net.time == 0.0
+
+    def test_a_negative_slack_pressure_is_refused_in_the_first_step(self):
+        net = chain_network()
+        net = Network([Node("a", SlackBC(Constant(-1.0))), *net.nodes[1:]],
+                      net.edges, net.eos)
+        with pytest.raises(ValueError,
+                           match="pressure must be non-negative"):
+            network_step(net, 1.0)
+        assert net.step_index == 0 and net.time == 0.0
 
 
-def ring_with_compressors(profile):
+def ring_with_compressors(varying=()):
     """A slack node ``a``, junctions ``b`` and ``c`` and a dead end ``d``,
-    with boost ratios at slack and junction ends; every pressure, ratio
-    and withdrawal is ``profile(value)``."""
+    with boost ratios at slack and junction ends.  Every pressure, ratio
+    and withdrawal is ``Constant``, but those of the ``RING_GROUPS`` named
+    in ``varying``, which are ``StepSequence`` profiles of the same
+    value."""
+    def profile(group, value):
+        return StepSequence([(math.inf, value)]) if group in varying \
+            else Constant(value)
     eos = NonIsothermalCnga(TemperatureProfile(ambient=288.706, jump=40.0,
                                                decay_rate=1e-3))
-    specs = [("p", "a", "b", {"inlet_ratio": profile(1.15)}),
-             ("q", "b", "c", {"inlet_ratio": profile(1.1)}),
-             ("r", "c", "a", {"outlet_ratio": profile(1.05)}),
+    specs = [("p", "a", "b", {"inlet_ratio": profile("slack_ratios",
+                                                     1.15)}),
+             ("q", "b", "c", {"inlet_ratio": profile("solved_ratios",
+                                                     1.1)}),
+             ("r", "c", "a", {"outlet_ratio": profile("slack_ratios",
+                                                      1.05)}),
              ("s", "c", "d", {})]
     edges = [PipeEdge(pid, frm, to, PipeGeometry(8e3 + 2e3 * k, 0.6, 0.01),
                       PipeGrid(8e3 + 2e3 * k, 6 + k), **ratio)
              for k, (pid, frm, to, ratio) in enumerate(specs)]
-    net = Network([Node("a", SlackBC(profile(5e6))),
-                   Node("b", DemandBC(profile(30.0))),
-                   Node("c", DemandBC(profile(-15.0))),
-                   Node("d", DemandBC(profile(20.0)))], edges, eos)
+    net = Network([Node("a", SlackBC(profile("slack_pressure", 5e6))),
+                   Node("b", DemandBC(profile("solved_withdrawals", 30.0))),
+                   Node("c", DemandBC(profile("solved_withdrawals", -15.0))),
+                   Node("d", DemandBC(profile("dead_withdrawal", 20.0)))],
+                  edges, eos)
     rng = np.random.default_rng(7)
     for e in edges:
         n = e.grid.n_cells

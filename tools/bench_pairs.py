@@ -16,8 +16,9 @@ added to the file when it exists and was written for the same two
 revisions: every run's result line and study count, and for every
 end-to-end metric both sides' medians and quartiles, the parent's
 interquartile range, the change's median over the parent's and the
-number of pairs in which the change read lower.  The exit status is 1
-unless every run read ``correct: true``.
+number of pairs in which the change read lower, with the exact two-sided
+sign-test p-value of that count (tied pairs dropped).  The exit status
+is 1 unless every run read ``correct: true``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -73,6 +75,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
         report.get("context")
 
 
+def sign_test_p(lower: int, higher: int) -> float:
+    """Exact two-sided sign-test p-value of ``lower`` pairs against
+    ``higher`` ones, ties already dropped: twice the binomial(n, 1/2) tail
+    of the rarer side, at most 1."""
+    n = lower + higher
+    tail = sum(math.comb(n, i) for i in range(min(lower, higher) + 1))
+    return min(1.0, 2.0 * tail / 2.0 ** n)
+
+
 def compare(runs: list) -> dict:
     """Per-metric medians, quartiles and pair wins of the paired runs."""
     values = {side: [r["result"].get("metrics", {}) for r in runs
@@ -84,6 +95,7 @@ def compare(runs: list) -> dict:
         parent, change = ([m[name]["value"] for m in values[side]]
                           for side in SIDES)
         lower = sum(c < p for p, c in zip(parent, change))
+        higher = sum(c > p for p, c in zip(parent, change))
         quartiles = {side: statistics.quantiles(v, n=4, method="inclusive")
                      if len(v) > 1 else [v[0], v[0]]
                      for side, v in zip(SIDES, (parent, change))}
@@ -94,6 +106,7 @@ def compare(runs: list) -> dict:
             "change_over_parent":
                 statistics.median(change) / statistics.median(parent),
             "change_lower_in_pairs": f"{lower}/{len(parent)}",
+            "sign_test_p": sign_test_p(lower, higher),
             "parent_quartiles": [p_q[0], p_q[-1]],
             "parent_iqr": p_q[-1] - p_q[0],
             "change_quartiles": [c_q[0], c_q[-1]]}
