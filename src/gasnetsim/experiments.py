@@ -22,7 +22,7 @@ from . import pipe as pipe_ops
 from .config import build_network, load_config
 from .eos import CngaGas, IdealGas, NonIsothermalCnga, TemperatureProfile
 from .errors import CflViolationError, ConfigError, SimulationError
-from .network import Network, _node_arrays, grid_for_length, network_step
+from .network import Network, grid_for_length, network_step, node_arrays
 from .pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState, PressureBC,
                    uniform_state)
 from .profiles import Constant, Harmonic, StepSequence
@@ -515,9 +515,6 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
     ledger on the cadence.  The step must satisfy the stability bound.
     With a ``writer``, each sample's rows stream to it and the result's
     store keeps only the last sample's rows."""
-    # bound once here; network_step checks the binding before each step,
-    # and nothing between a step and its ledger or sample can replace a state
-    net.require_states()
     keys = [("node", n.id, name) for n in net.nodes
             for name in NODE_FIELDS] + \
         [("pipe", e.id, name) for e in net.edges for name in PIPE_FIELDS]
@@ -527,7 +524,7 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
     def sampled_mass():
         # the sample that follows reads these masses, not a second sum
         nonlocal masses
-        masses = net._pipe_masses()
+        masses = net.pipe_masses()
         return sum(masses)
 
     # every sample fills one vector, a node's two values after another's
@@ -537,14 +534,14 @@ def simulate_network(net: Network, dt: float, t_end: float, cadence: float,
     pipes = values[nodes.size:].reshape(-1, 5)
 
     def sample():
-        _node_arrays(net, nodes[:, 0], nodes[:, 1])
+        node_arrays(net, nodes[:, 0], nodes[:, 1])
         net._pipe_records(masses, pipes)
         return values.tolist()
 
     # each step's ledger check reads one weighted sum of the flat state;
     # only samples sum each pipe's mass
     result = _march(lambda: net.time, lambda: network_step(net, dt),
-                    net._flat_mass, sampled_mass, net._boundary_inflow,
+                    net._flat_mass, sampled_mass, net.boundary_inflow,
                     sample, keys, dt, net.cfl_max_dt(), t_end, cadence,
                     "network", writer)
     result.summary.update(t_end=net.time, total_mass_kg=net.total_mass())

@@ -43,6 +43,16 @@ from .profiles import Constant, TimeProfile
 
 UNIT_RATIO = Constant(1.0)
 MAX_CELLS = 10 ** 7    # per pipe
+_assignments = [0]    # to an edge's state or a bound state's rho or phi
+
+
+def _counting(*names):
+    """A ``__setattr__`` that counts assignments to ``names``."""
+    def __setattr__(self, name, value):
+        if name in names:
+            _assignments[0] += 1
+        object.__setattr__(self, name, value)
+    return __setattr__
 
 
 @dataclass
@@ -80,6 +90,12 @@ class PipeEdge:
     inlet_ratio: TimeProfile | None = None    # compressor node -> pipe inlet
     outlet_ratio: TimeProfile | None = None   # compressor node -> pipe outlet
     gas: CngaGas | None = field(default=None, init=False, repr=False)
+    __setattr__ = _counting("state")
+
+
+class _BoundState(PipeState):
+    """A network's bound state; an unbound one's writes are not counted."""
+    __setattr__ = _counting("rho", "phi")
 
 
 @dataclass
@@ -155,18 +171,15 @@ class Network:
 
     The state of a network is one flat ``rho`` over the cells (with a ghost
     cell between consecutive pipes) and one flat ``phi`` over the faces of
-    all pipes, pipe after pipe in edge order, and every
-    ``edge.state.rho``/``.phi`` is a view into them.  Each step's
-    ``require_states`` binds the views, and binds them afresh, from the
-    states' current values, whenever an edge's ``state``, ``state.rho`` or
-    ``state.phi`` is not the object it bound; so do the public readers of
-    the state.  A run binds once and reads through their unchecked bodies
-    (``_pipe_masses`` and the like), since only steps, which check, run
-    between its reads.  The network's ``time`` and
-    ``step_index`` are the clock of a network run; the pipe states' own
-    do not advance.  The last step's nodal solve is kept for
-    ``node_arrays``, and the step plan for steps at the same ``dt``, until
-    the states are bound afresh.
+    all pipes, pipe after pipe in edge order; each ``edge.state.rho`` and
+    ``.phi`` is a view into them.  Every reader of the state checks the
+    binding, in O(1) unless an edge's ``state`` or a bound state's ``rho``
+    or ``phi`` was assigned, and binds the views afresh, from the states'
+    current values, if one is not the object it bound.
+    The network's ``time`` and ``step_index`` are the clock of a network
+    run; the pipe states' own do not advance.  The last step's nodal solve
+    is kept for ``node_arrays``, and the step plan for steps at the same
+    ``dt``, until the states are bound afresh.
     """
 
     def __init__(self, nodes, edges, eos):
@@ -192,8 +205,7 @@ class Network:
         self._dual_compressor_edges = [e for e in self.edges
                                        if e.inlet_ratio and e.outlet_ratio]
         self._flat = _FlatLayout(self)
-        self.rho = self.phi = None
-        self._bound = [(_UNBOUND,) * 3] * len(self.edges)
+        self.rho = self.phi = self._views = self._checked = None
         self._solve = self._plan = None
 
     def node(self, node_id: str) -> Node:
@@ -210,12 +222,15 @@ class Network:
 
     def require_states(self):
         """Fail unless every pipe has a state; (re)bind the flat arrays
-        unless every edge still holds the state and arrays last bound."""
-        for e, (state, rho, phi) in zip(self.edges, self._bound):
-            s = e.state
-            if s is not state or s.rho is not rho or s.phi is not phi:
+        unless every edge still holds a state bound to the arrays last
+        bound, which only a counted assignment can change."""
+        if self._checked != _assignments[0]:
+            if self._views is None or any(
+                    type(e.state) is not _BoundState or e.state.rho is not rho
+                    or e.state.phi is not phi
+                    for e, (_, rho, phi) in zip(self.edges, self._views)):
                 self._bind()
-                return
+            self._checked = _assignments[0]
 
     def _bind(self):
         missing = [e.id for e in self.edges if e.state is None]
@@ -231,29 +246,24 @@ class Network:
         self.rho = np.full(start[-1] - 1, _GHOST_RHO)
         self.phi = np.empty(start[-1])
         for e, a, b in zip(self.edges, start, start[1:]):
-            self.rho[a:b - 1] = e.state.rho
-            self.phi[a:b] = e.state.phi
+            e.state.__class__ = _BoundState
+            self.rho[a:b - 1], self.phi[a:b] = e.state.rho, e.state.phi
             e.state.rho, e.state.phi = self.rho[a:b - 1], self.phi[a:b]
-        self._bound = [(e.state, e.state.rho, e.state.phi)
-                       for e in self.edges]
-        self._masses = [(w, e.state.rho)
-                        for w, e in zip(self._flat.mass_weights, self.edges)]
+        self._views = [(w, e.state.rho, e.state.phi)    # (S dx, views)
+                       for w, e in zip(self._flat.mass_weights, self.edges)]
         self._solve = self._plan = None
 
     def pipe_masses(self) -> list:
         """``S dx sum(rho)`` of every pipe in edge order, each a sum over
         its own slice."""
         self.require_states()
-        return self._pipe_masses()
-
-    def _pipe_masses(self) -> list:
         add = np.add.reduce
-        return [w * float(add(rho)) for w, rho in self._masses]
+        return [w * float(add(rho)) for w, rho, _ in self._views]
 
     def _flat_mass(self) -> float:
         """The total mass as one ``S dx``-weighted sum over the flat
-        ``rho``, for a bound state: within roundoff of
-        ``sum(pipe_masses())``, not bit for bit."""
+        ``rho``: ``sum(pipe_masses())`` within roundoff, not bit for bit."""
+        self.require_states()
         return float(np.dot(self._flat.cell_weights, self.rho))
 
     def total_mass(self) -> float:
@@ -262,9 +272,6 @@ class Network:
     def boundary_inflow(self) -> float:
         """Net mass inflow rate summed pipe-locally, S (phi_0 - phi_N)."""
         self.require_states()
-        return self._boundary_inflow()
-
-    def _boundary_inflow(self) -> float:
         fl, phi = self._flat, self.phi
         return sum((fl.pipe_area * (phi[fl.first] -
                                     phi[fl.last_face])).tolist())
@@ -283,11 +290,11 @@ class Network:
         return out
 
     def cfl_max_dt(self, safety: float = 1.0) -> float:
+        self.require_states()
         return min(pipe_ops.cfl_max_dt(e.state, e.grid, e.gas, safety)
                    for e in self.edges)
 
 
-_UNBOUND = object()
 _GHOST_RHO = 1.0                 # density of every ghost cell
 _GHOST_GAS = (1.0, 0.0, 1.0)    # (b1, b2, rt) of a ghost cell
 
@@ -663,13 +670,13 @@ def network_step(net: Network, dt: float) -> None:
 def node_records(net: Network) -> dict:
     """``(pressure, net_inflow)`` of every node at the current network time,
     keyed by node id in node order; see ``node_arrays``."""
-    p, netflow = node_arrays(net)
+    p, netflow = node_arrays(net, *np.empty((2, len(net.nodes))))
     return dict(zip(net._flat.node_ids, zip(p.tolist(), netflow.tolist())))
 
 
-def node_arrays(net: Network) -> tuple:
+def node_arrays(net: Network, p, netflow) -> tuple:
     """The nodal pressures and net inflows at the current network time,
-    as two arrays in node order.
+    written into and returned as the arrays ``p`` and ``netflow``.
 
     ``net_inflow`` is ``sum_k sgn_k S_k phi_k`` over the node's pipe ends:
     the withdrawal at demand nodes and the implied (negative of injection)
@@ -680,13 +687,6 @@ def node_arrays(net: Network) -> tuple:
     boundary cell's pressure, pulled back through that end's boost ratio.
     """
     net.require_states()
-    n = len(net._flat.node_ids)
-    return _node_arrays(net, np.empty(n), np.empty(n))
-
-
-def _node_arrays(net: Network, p, netflow) -> tuple:
-    """``node_arrays`` of a bound state, written into the arrays ``p``
-    and ``netflow`` (or views), which it returns."""
     fl = net._flat
     if net._solve is None:      # every demand node is pulled back
         alpha = _at(fl.ratios, net.time)

@@ -254,7 +254,7 @@ def _counted(monkeypatch, owner, attr, shift=None):
 
 @pytest.mark.parametrize("owner, attr, run", [
     (pipe_ops, "boundary_throughput", _short_pipe_run),
-    (Network, "_boundary_inflow", _short_network_run),
+    (Network, "boundary_inflow", _short_network_run),
 ], ids=["pipe", "network"])
 def test_per_step_ledger_identity_fires(monkeypatch, owner, attr, run):
     # a misreported inflow of 1 kg/s breaks the identity on the first step

@@ -664,6 +664,15 @@ class TestFlatStep:
         with pytest.raises(SimulationError, match=r"fit their grids: \['m'\]"):
             network_step(net, 1.0)
 
+    @pytest.mark.parametrize("read", ["cfl_max_dt", "total_mass",
+                                      "pipe_masses", "boundary_inflow",
+                                      "_flat_mass"])
+    def test_every_reader_refuses_a_network_without_states(self, read):
+        net = five_node_network(CngaGas(), 4000.0)
+        with pytest.raises(SimulationError,
+                           match="pipes without initial state: "):
+            getattr(net, read)()
+
     @pytest.mark.parametrize("make", ["two_node", "ring", "star"])
     def test_each_group_steps_as_the_scalar_references(self, make):
         # a network without solved nodes (two_node, star) or without dead
@@ -741,7 +750,9 @@ class TestFlatStep:
             for net in nets:
                 network_step(net, dt)
             (rho, phi, nodes), (rho_2, phi_2, nodes_2) = [
-                (net.rho, net.phi, node_arrays(net)) for net in nets]
+                (net.rho, net.phi, node_arrays(net, np.empty(len(net.nodes)),
+                                               np.empty(len(net.nodes))))
+                for net in nets]
             assert np.array_equal(rho, rho_2) and np.array_equal(phi, phi_2)
             for a, b in zip(nodes, nodes_2):
                 assert np.array_equal(a, b)

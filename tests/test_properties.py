@@ -17,6 +17,11 @@ storage rates ``S dx rho / dt``.  The balance is solved through those
 storage terms, so its roundoff scales with them: with no flow at all, a
 three-node ring at ``S dx rho / dt`` of ~1.5e4 kg/s balances to ~5e-12
 kg/s, above criterion 7's floor of 1e-12 kg/s.
+
+The binding of the pipe states to the flat arrays is checked on trees,
+rings and meshes (rings with a chord): a whole run binds once, and a pipe
+whose ``state``, ``state.rho`` or ``state.phi`` is replaced by a copy
+between steps steps on bit for bit as in a fresh build.
 """
 
 import itertools
@@ -24,12 +29,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasnetsim.eos import CngaGas, NonIsothermalCnga, TemperatureProfile
 from gasnetsim.experiments import simulate_network
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
-                               network_step)
+                               network_step, node_records)
 from gasnetsim.output import SeriesWriter, write_series
 from gasnetsim.pipe import (PipeGeometry, PipeGrid, PipeState,
                             interior_flux_update)
@@ -49,13 +55,16 @@ def ratios():
 
 
 @st.composite
-def networks(draw):
-    """``(nodes, pipes, gas)`` specs of a tree or ring with 3 to 8 nodes;
-    each pipe may carry a compressor at its inlet or its outlet, and the
-    gas is None (uniform) or a non-isothermal ``(jump, decay_rate)``."""
+def networks(draw, meshes=False):
+    """``(nodes, pipes, gas)`` specs of a tree or ring with 3 to 8 nodes,
+    and with ``meshes`` also of a ring of 4 or more with a chord; each pipe
+    may carry a compressor at its inlet or its outlet, and the gas is None
+    (uniform) or a non-isothermal ``(jump, decay_rate)``."""
     n = draw(st.integers(3, 8))
     if draw(st.booleans()):
         links = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+        if meshes and n > 3 and draw(st.booleans()):
+            links.append((0, draw(st.integers(2, n - 2))))
     else:
         links = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     slack = draw(st.integers(0, n - 1))
@@ -179,3 +188,44 @@ def test_generated_networks_keep_kirchhoff_and_rerun_bitwise(spec):
     for e, state in zip(net.edges, before):
         interior_flux_update(state, e.geometry, e.grid, e.gas, dt)
         assert np.array_equal(e.state.phi[1:-1], state.phi[1:-1]), e.id
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(networks(meshes=True), st.data())
+def test_generated_networks_rebind_a_replaced_state_bitwise(spec, data):
+    net, fresh = build(spec), build(spec)
+    e = net.edges[data.draw(st.integers(0, len(net.edges) - 1))]
+    replaced = data.draw(st.sampled_from(("state", "rho", "phi")))
+    at = data.draw(st.integers(1, 9))
+    dt = 0.8 * net.cfl_max_dt()
+    for k in range(10):
+        if k == at:
+            if replaced == "state":
+                e.state = PipeState(e.state.rho.copy(), e.state.phi.copy())
+            else:
+                setattr(e.state, replaced, getattr(e.state, replaced).copy())
+        network_step(net, dt)
+        network_step(fresh, dt)
+    assert e.state.rho.base is net.rho and e.state.phi.base is net.phi
+    assert np.array_equal(net.rho, fresh.rho)
+    assert np.array_equal(net.phi, fresh.phi)
+    for f, g in zip(net.edges, fresh.edges):
+        assert np.array_equal(f.state.rho, g.state.rho)
+        assert np.array_equal(f.state.phi, g.state.phi)
+    assert node_records(net) == node_records(fresh)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(networks(meshes=True))
+def test_generated_networks_bind_once_per_run(spec):
+    binds = []
+    bind = Network._bind
+
+    def counted(net):
+        binds.append(net)
+        bind(net)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Network, "_bind", counted)
+        net, _, result = run(spec)
+    assert result.summary["steps"] == STEPS
+    assert binds == [net]
