@@ -5,8 +5,7 @@ from .eos import (CngaGas, IdealGas, NonIsothermalCnga, TemperatureProfile,
 from .errors import (CflViolationError, ConfigError, InfeasibleNodeError,
                      PositivityError, SimulationError, SteadyStateError,
                      UnstableRunError)
-from .network import (DemandBC, Network, Node, PipeEdge, SlackBC,
-                      flow_balance_residual, network_step)
+from .network import DemandBC, Network, Node, PipeEdge, SlackBC, network_step
 from .pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState, PressureBC,
                    cfl_max_dt, density_update, friction_invert,
                    interior_flux_update, step, total_mass)

@@ -6,7 +6,6 @@ maps positions to the gas with the local coefficients.  A gas exposes:
 
 * ``density(p)``   -- inverse map ``rho = P^{-1}(p)``
 * ``pressure(rho)`` -- forward map ``p = P(rho)``
-* ``compressibility(p)`` -- factor ``Z`` in ``p = Z R T rho``
 * ``wave_speed_sq(rho)`` -- local ``P'(rho)``, the squared wave speed
 * ``density_poly()`` -- coefficients ``(u, v)`` with ``rho(p) = u p + v p**2``
 * ``at(x)`` -- the gas at positions ``x``, with per-cell coefficient arrays
@@ -227,10 +226,6 @@ class CngaGas:
         p *= 2.0
         p /= den
         return p
-
-    def compressibility(self, p):
-        _check_nonnegative(p, "pressure")
-        return 1.0 / (self.b1 + self.b2 * p)
 
     def wave_speed_sq(self, rho):
         _check_positive(rho, "density")

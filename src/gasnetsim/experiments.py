@@ -39,17 +39,10 @@ DAY = 86400.0
 # series recording
 
 class TimeSeriesStore:
-    """Ordered (t, entity, id, field, value) rows with array extraction."""
+    """Ordered (t, entity, id, field, value) rows."""
 
     def __init__(self):
         self.rows = []
-
-    def series(self, entity, entity_id, fieldname):
-        pts = [(t, v) for t, e, i, f, v in self.rows
-               if e == entity and i == entity_id and f == fieldname]
-        t = np.array([p[0] for p in pts])
-        v = np.array([p[1] for p in pts])
-        return t, v
 
 
 @dataclass
@@ -118,8 +111,7 @@ def _march(now, advance, step_mass, sampled_mass, inflow_rate, sample, keys,
     must change ``step_mass()`` by ``dt * inflow_rate()`` to within 1e-12
     of the mass; ``step_mass()`` is called before the first step and after
     each step.  The ledger's sampled mass is ``sampled_mass()``, called
-    before each ``sample()``; when the two are one callable, a sample
-    takes its step's mass instead.  Each sample goes to
+    before each ``sample()``.  Each sample goes to
     ``writer.write_sample`` as soon as it is taken; a streamed run's store
     then holds only the last sample's rows, since the earlier ones are
     already on disk.
@@ -136,12 +128,8 @@ def _march(now, advance, step_mass, sampled_mass, inflow_rate, sample, keys,
     ledger = MassLedger()
     keys = keys + LEDGER_KEYS
     columns = list(zip(*keys))
-
-    def ledger_mass(mass):
-        return mass if sampled_mass is step_mass else sampled_mass()
-
     prev_mass = step_mass()
-    mass0 = ledger_mass(prev_mass)
+    mass0 = sampled_mass()
     cumulative = 0.0
     last = None
 
@@ -174,7 +162,7 @@ def _march(now, advance, step_mass, sampled_mass, inflow_rate, sample, keys,
                 f"mass ledger identity broken at step {k} (t={now():g} s)")
         prev_mass = mass
         if now() >= next_sample - 1e-9 * dt:
-            record(ledger_mass(mass))
+            record(sampled_mass())
             next_sample += cadence
     if writer is not None:
         store.rows = rows(*last)
@@ -240,13 +228,15 @@ class ConvergenceReport:
         return asdict(self)
 
 
-def _wave_profiles(rho_mean, wave_speed, length):
+def _wave_profiles():
+    length = 1e4
+
     def rho_wave(x, t):
-        arg = 10.0 * (x - 0.5 * length - wave_speed * t) / length
-        return rho_mean * (1.0 - (0.2 / np.pi) * np.arctan(arg))
+        arg = 10.0 * (x - 0.5 * length - WAVE_SPEED_REF * t) / length
+        return RHO_MEAN * (1.0 - (0.2 / np.pi) * np.arctan(arg))
 
     def phi_wave(x, t):
-        return wave_speed * rho_wave(x, t)
+        return WAVE_SPEED_REF * rho_wave(x, t)
 
     return rho_wave, phi_wave
 
@@ -275,7 +265,7 @@ def run_convergence_study(n_levels: int = 6,
     """
     length, base_cells, t_common = 1e4, 22, 1.0
     gas = IdealGas(WAVE_SPEED_REF)
-    rho_wave, phi_wave = _wave_profiles(RHO_MEAN, WAVE_SPEED_REF, length)
+    rho_wave, phi_wave = _wave_profiles()
     geom = PipeGeometry(length=length, diameter=1.0, friction=0.0)
     dt_ref = 3.0 ** -ref_level
     steps_common = round(t_common / dt_ref)
@@ -347,25 +337,6 @@ def run_convergence_study(n_levels: int = 6,
              "phi": rates_by_protocol["one_step"]["phi"]}
     return ConvergenceReport(dts=dts, errors=errors, rates=rates,
                              rates_by_protocol=rates_by_protocol)
-
-
-def run_traveling_wave(n_cells: int, n_steps: int) -> dict:
-    """Advect the smoothed-step wave 1 km with the frictionless ideal model
-    and compare against the exact translated profile."""
-    length = 1e4
-    geom = PipeGeometry(length=length, diameter=1.0, friction=0.0)
-    grid = PipeGrid(length=length, n_cells=n_cells)
-    dt = 1000.0 / WAVE_SPEED_REF / n_steps
-    rho_wave, phi_wave = _wave_profiles(RHO_MEAN, WAVE_SPEED_REF, length)
-    xc, xf = grid.cell_centers, grid.faces
-    state = PipeState(rho_wave(xc, 0.0), phi_wave(xf, -0.5 * dt))
-    bc_l = FluxBC(lambda t: phi_wave(0.0, t))
-    bc_r = FluxBC(lambda t: phi_wave(length, t))
-    simulate_pipe(geom, grid, IdealGas(WAVE_SPEED_REF), state, bc_l, bc_r,
-                  dt, n_steps * dt, n_steps * dt)
-    err = l2_norm(state.rho, rho_wave(xc, state.time), grid.dx)
-    return {"dt": dt, "dx": grid.dx, "t_end": state.time, "error": err,
-            "state": state}
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,6 @@ class _End:
     ratio: TimeProfile = UNIT_RATIO
 
     @property
-    def gas(self) -> CngaGas:
-        """Gas of the boundary cell."""
-        return self.edge.gas[self.cell]
-
-    @property
     def area(self) -> float:
         return self.edge.geometry.area
 
@@ -207,18 +202,6 @@ class Network:
         self._flat = _FlatLayout(self)
         self.rho = self.phi = self._views = self._checked = None
         self._solve = self._plan = None
-
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
-    def edge(self, edge_id: str) -> PipeEdge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
 
     def require_states(self):
         """Fail unless every pipe has a state; (re)bind the flat arrays
@@ -558,13 +541,6 @@ def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
     return 2.0 * rhs / (b + math.sqrt(b * b + 4.0 * a * rhs))
 
 
-def flow_balance_residual(sgns, areas, phis, q: float) -> float:
-    """Kirchhoff mass-balance residual sum_k sgn_k S_k phi_k - q in kg/s."""
-    return float(np.dot(np.asarray(sgns, dtype=float),
-                        np.asarray(areas, dtype=float) *
-                        np.asarray(phis, dtype=float))) - q
-
-
 def _nodal_phase(net: Network, plan: _StepPlan, t_half, t_next):
     """Assign every pipe-end flux from the nodal conditions.
 
@@ -665,13 +641,6 @@ def network_step(net: Network, dt: float) -> None:
     net.time = t_next
     net.step_index += 1
     net._solve = solve
-
-
-def node_records(net: Network) -> dict:
-    """``(pressure, net_inflow)`` of every node at the current network time,
-    keyed by node id in node order; see ``node_arrays``."""
-    p, netflow = node_arrays(net, *np.empty((2, len(net.nodes))))
-    return dict(zip(net._flat.node_ids, zip(p.tolist(), netflow.tolist())))
 
 
 def node_arrays(net: Network, p, netflow) -> tuple:

@@ -93,20 +93,6 @@ def write_series(rows, path) -> None:
         w.write_rows(rows)
 
 
-def read_series(path):
-    """Load a series CSV back into (t, entity, id, field, value) rows."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        for t, entity, entity_id, fieldname, value in reader:
-            rows.append((float(t), entity, entity_id, fieldname,
-                         float(value)))
-    return rows
-
-
 def write_summary(summary: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

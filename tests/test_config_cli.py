@@ -15,7 +15,8 @@ from gasnetsim.config import (build_network, config_sha, load_config,
 from gasnetsim.eos import EOS_KEYS, make_eos
 from gasnetsim.errors import ConfigError
 from gasnetsim.experiments import MassLedger, RunResult, TimeSeriesStore
-from gasnetsim.output import CSV_HEADER, read_series, write_series
+from gasnetsim.output import CSV_HEADER, write_series
+from support import read_series
 
 
 def bundled_config_path():

@@ -17,15 +17,15 @@ from gasnetsim.errors import (ConfigError, InfeasibleNodeError,
 from gasnetsim.experiments import (WAVE_SPEED_REF, five_node_network,
                                    simulate_network)
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
-                               flow_balance_residual, network_step,
-                               nodal_pressure_solve, node_arrays,
-                               node_records)
+                               network_step, nodal_pressure_solve,
+                               node_arrays)
 from gasnetsim.output import SeriesWriter
 from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState,
                             PressureBC, interior_flux_update, step,
                             uniform_state)
 from gasnetsim.profiles import Constant, Harmonic, StepSequence
 from gasnetsim.steady import solve_steady_state
+from support import edge, end_gas, flow_balance_residual, node, node_records
 
 MESH_SMALL = Path(__file__).with_name("data") / "mesh_small.json"
 # the profile groups of ring_with_compressors; the first three feed a
@@ -84,7 +84,7 @@ class TestValidation:
         net = five_node_network(CngaGas(), dx_target=4000.0)
         solve_steady_state(net).populate(net)
         network_step(net, net.cfl_max_dt(0.9))
-        withdrawal = net.node("2").bc.withdrawal
+        withdrawal = node(net, "2").bc.withdrawal
         with pytest.raises(dataclasses.FrozenInstanceError):
             withdrawal.value = 50.0
         assert withdrawal(net.time) == 0.0
@@ -254,7 +254,7 @@ class TestNetworkStep:
     def test_ideal_gas_binds_with_zero_b2(self):
         net = five_node_network(IdealGas(WAVE_SPEED_REF), dx_target=2000.0)
         gases = [e.gas for e in net.edges] + \
-            [end.gas for ends in net.incidence.values() for end in ends]
+            [end_gas(end) for ends in net.incidence.values() for end in ends]
         assert len(gases) == 3 * len(net.edges)
         assert all(gas.b2 == 0 for gas in gases)
 
@@ -301,9 +301,9 @@ class TestNetworkStep:
             assert (cell.b1, cell.b2, cell.rt) == (
                 fl.gas.b1[index], fl.gas.b2[index], fl.gas.rt[index])
         for end in (end for ends in net.incidence.values() for end in ends):
-            gas = end.edge.gas
-            assert type(end.gas.b1) is float
-            assert (end.gas.b1, end.gas.b2, end.gas.rt) == (
+            gas, cell = end.edge.gas, end_gas(end)
+            assert type(cell.b1) is float
+            assert (cell.b1, cell.b2, cell.rt) == (
                 gas.b1[end.cell], gas.b2[end.cell], gas.rt[end.cell])
 
     def test_network_mass_ledger(self):
@@ -411,7 +411,7 @@ class TestFlatStep:
                 [end.area * end.dx / dt for end in ends],
                 [end.ratio(t_next) for end in ends],
                 [before[k][0][end.cell] for k, end in zip(pos, ends)],
-                [end.gas.density_poly() for end in ends],
+                [end_gas(end).density_poly() for end in ends],
                 node.bc.withdrawal(t_half),
                 sum(end.sgn * end.area * float(end.edge.state.phi[end.inner])
                     for end in ends), node.id)
@@ -423,7 +423,7 @@ class TestFlatStep:
         def pulled_back(t):
             # each demand node's first pipe end: its boundary-cell
             # pressure over its boost ratio
-            return {node.id: float(end.gas.pressure(
+            return {node.id: float(end_gas(end).pressure(
                 end.edge.state.rho[end.cell])) / end.ratio(t)
                 for node in net.nodes[1:]
                 for end in net.incidence[node.id][:1]}
@@ -464,7 +464,7 @@ class TestFlatStep:
     def test_non_finite_face_names_pipe_and_local_face(self):
         net = chain_network()
         network_step(net, 1.0)
-        net.edge("m").state.phi[3] = np.inf
+        edge(net, "m").state.phi[3] = np.inf
         with pytest.raises(UnstableRunError,
                            match="face 3 of pipe m, step 1") as err:
             network_step(net, 1.0)
@@ -473,7 +473,7 @@ class TestFlatStep:
     def test_a_non_finite_face_leaves_the_state_as_it_was(self):
         net = chain_network()
         network_step(net, 1.0)
-        net.edge("m").state.phi[3] = np.inf
+        edge(net, "m").state.phi[3] = np.inf
         before = states_of(net)
         with pytest.raises(UnstableRunError):
             network_step(net, 1.0)
@@ -487,7 +487,7 @@ class TestFlatStep:
         net = chain_network()
         if bound:
             network_step(net, 1.0)
-        net.edge("m").state.rho[4] = -1.0
+        edge(net, "m").state.rho[4] = -1.0
         with pytest.raises(ValueError, match="density must be non-negative"):
             network_step(net, 1.0)
 
@@ -496,7 +496,7 @@ class TestFlatStep:
         # faces non-finite, and a negative cell beside it is still refused
         net = chain_network()
         network_step(net, 1.0)
-        net.edge("m").state.rho[4] = np.nan
+        edge(net, "m").state.rho[4] = np.nan
         before = states_of(net)
         with pytest.raises(UnstableRunError,
                            match="face 4 of pipe m, step 1"):
@@ -504,7 +504,7 @@ class TestFlatStep:
         for (rho, phi), (rho_b, phi_b) in zip(states_of(net), before):
             assert np.array_equal(rho, rho_b, equal_nan=True)
             assert np.array_equal(phi, phi_b)
-        net.edge("c").state.rho[2] = -1.0
+        edge(net, "c").state.rho[2] = -1.0
         with pytest.raises(ValueError, match="density must be non-negative"):
             network_step(net, 1.0)
         assert net.step_index == 1
@@ -532,7 +532,7 @@ class TestFlatStep:
         network_step(net, 1.0)
         # outward fluxes of 1e6 on both faces of cell 6 of the frictionless
         # last pipe empty it within the step
-        net.edge("c").state.phi[6:8] = [-1e6, 1e6]
+        edge(net, "c").state.phi[6:8] = [-1e6, 1e6]
         with pytest.raises(PositivityError,
                            match="cell 6 of pipe c, step 2") as err:
             network_step(net, 1.0)
@@ -544,7 +544,7 @@ class TestFlatStep:
         # its boundary cells, one cell from a ghost
         net = chain_network()
         network_step(net, 1.0)
-        net.edge("m").state.phi[face] = np.inf
+        edge(net, "m").state.phi[face] = np.inf
         with pytest.raises(UnstableRunError,
                            match=f"face {face} of pipe m, step 1") as err:
             network_step(net, 1.0)
@@ -602,8 +602,8 @@ class TestFlatStep:
             e.state = uniform_state(e.grid, eos.density(6.5e6))
         with np.errstate(over="ignore", invalid="ignore"):
             network_step(net, 1.0)
-        assert net.edge("x").state.rho[-1] > 1e300
-        assert net.edge("y").state.rho[0] > 1e300
+        assert edge(net, "x").state.rho[-1] > 1e300
+        assert edge(net, "y").state.rho[0] > 1e300
 
     def test_a_new_step_size_matches_the_kernels_at_that_size(self):
         net = mixed_network()
@@ -626,7 +626,7 @@ class TestFlatStep:
                 [end.area * end.dx / dt for end in ends],
                 [end.ratio(t_next) for end in ends],
                 [before[k][0][end.cell] for k, end in zip(pos, ends)],
-                [end.gas.density_poly() for end in ends],
+                [end_gas(end).density_poly() for end in ends],
                 node.bc.withdrawal(t_half),
                 sum(end.sgn * end.area * float(end.edge.state.phi[end.inner])
                     for end in ends), node.id)
@@ -636,10 +636,10 @@ class TestFlatStep:
         net, fresh = chain_network(), chain_network()
         for k in range(12):
             if k == 4:
-                e = net.edge("m")
+                e = edge(net, "m")
                 e.state = PipeState(e.state.rho.copy(), e.state.phi.copy())
             if k == 8:
-                e = net.edge("c")
+                e = edge(net, "c")
                 e.state.rho = e.state.rho.copy()
             network_step(net, 1.0)
             network_step(fresh, 1.0)
@@ -660,7 +660,7 @@ class TestFlatStep:
 
     def test_state_that_does_not_fit_its_grid_is_refused(self):
         net = chain_network()
-        net.edge("m").state = uniform_state(PipeGrid(10e3, 7), 50.0)
+        edge(net, "m").state = uniform_state(PipeGrid(10e3, 7), 50.0)
         with pytest.raises(SimulationError, match=r"fit their grids: \['m'\]"):
             network_step(net, 1.0)
 
@@ -685,7 +685,8 @@ class TestFlatStep:
             fluxes, pressures = nodal_references(net, before, t0, dt)
             for (pipe_id, sgn), phi in fluxes.items():
                 face = -1 if sgn > 0 else 0
-                assert net.edge(pipe_id).state.phi[face] == phi, (pipe_id, sgn)
+                assert edge(net, pipe_id).state.phi[face] == phi, \
+                    (pipe_id, sgn)
             records = node_records(net)
             for node_id, p in pressures.items():
                 assert records[node_id][0] == p, node_id
@@ -707,7 +708,7 @@ class TestFlatStep:
         network_step(net, 0.5)
         assert net._plan is not plan and net._plan.dt == 0.5
         plan = net._plan
-        e = net.edge("m")
+        e = edge(net, "m")
         e.state = PipeState(e.state.rho.copy(), e.state.phi.copy())
         network_step(net, 0.5)
         assert net._plan is not plan
@@ -717,13 +718,13 @@ class TestFlatStep:
     def test_ledger_reads_rebind_a_state_replaced_outside_a_run(self):
         net = chain_network()
         network_step(net, 1.0)
-        e = net.edge("m")
+        e = edge(net, "m")
         e.state = PipeState(2.0 * e.state.rho, e.state.phi + 5.0)
         assert net.pipe_masses() == [
             pipe_ops.total_mass(edge.state, edge.geometry, edge.grid)
             for edge in net.edges]
         assert e.state.rho.base is net.rho
-        e = net.edge("c")
+        e = edge(net, "c")
         e.state = PipeState(e.state.rho.copy(), e.state.phi - 7.0)
         assert net.boundary_inflow() == sum(
             pipe_ops.boundary_throughput(edge.state, edge.geometry)
@@ -766,7 +767,8 @@ class TestFlatStep:
 
     def test_zero_ratios_at_a_junction_are_degenerate_in_the_first_step(self):
         net = chain_network()
-        net.edge("a").outlet_ratio = net.edge("m").inlet_ratio = Constant(0.0)
+        edge(net, "a").outlet_ratio = edge(net, "m").inlet_ratio = \
+            Constant(0.0)
         net = Network(net.nodes, net.edges, net.eos)
         with pytest.raises(InfeasibleNodeError,
                            match="node b: degenerate density map"):
@@ -871,10 +873,10 @@ def nodal_references(net, before, t0, dt):
         alphas = [end.ratio(t_next) for end in ends]
         if node.is_slack:
             p = node.bc.pressure(t_next)
-            targets = [end.gas.density(al * p)
+            targets = [end_gas(end).density(al * p)
                        for end, al in zip(ends, alphas)]
         else:
-            polys = [end.gas.density_poly() for end in ends]
+            polys = [end_gas(end).density_poly() for end in ends]
             p = pressures[node.id] = nodal_pressure_solve(
                 [end.area * end.dx / dt for end in ends], alphas, rho, polys,
                 node.bc.withdrawal(t_half),

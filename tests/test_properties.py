@@ -35,11 +35,12 @@ from hypothesis import given, settings, strategies as st
 from gasnetsim.eos import CngaGas, NonIsothermalCnga, TemperatureProfile
 from gasnetsim.experiments import simulate_network
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
-                               network_step, node_records)
+                               network_step)
 from gasnetsim.output import SeriesWriter, write_series
 from gasnetsim.pipe import (PipeGeometry, PipeGrid, PipeState,
                             interior_flux_update)
 from gasnetsim.profiles import Constant, Harmonic
+from support import node_records
 
 P0 = 5.0e6
 STEPS = 50
