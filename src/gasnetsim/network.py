@@ -17,11 +17,12 @@ pass; the two faces beside a ghost are pipe ends), the nodal solves
 assigning every pipe-end flux (all nodes at once, gathered by incidence
 index arrays and summed per node with ``np.bincount``), then the density
 update of every cell.  Per-node sums always run in fixed incidence order,
-so results are deterministic.  The network reads its constant profiles
-once; the dt-scaled coefficients a step reads, the nodal terms that only
-constant profiles feed and the buffers a step writes are a step plan,
-built once per ``(network, dt)`` and rebuilt when ``dt`` or the bound
-states change.
+so results are deterministic.  The dt-scaled coefficients a step reads
+and the buffers a step writes are a step plan, built once per
+``(network, dt)`` and rebuilt when ``dt`` or the bound states change.
+The nodal terms that depend on time alone (boost ratios, slack pressures,
+withdrawals and what follows from them) are a table the plan builds for
+a block of steps at once, each profile evaluated over the block's times.
 """
 
 from __future__ import annotations
@@ -282,33 +283,39 @@ _GHOST_RHO = 1.0                 # density of every ghost cell
 _GHOST_GAS = (1.0, 0.0, 1.0)    # (b1, b2, rt) of a ghost cell
 
 
-def _fold(profiles) -> tuple:
-    """``(values, varying)``: every ``Constant`` profile's value in one
-    array (NaN elsewhere), and the ``(index, profile)`` pairs of the
-    others."""
-    constant = [type(p) is Constant for p in profiles]
-    values = np.array([p.value if c else math.nan
-                       for p, c in zip(profiles, constant)], dtype=float)
-    return values, [(j, p) for j, (p, c) in enumerate(zip(profiles, constant))
-                    if not c]
+def _series(profile, times) -> np.ndarray:
+    """``profile`` at each of ``times``, in the bits of its calls: a
+    ``TimeProfile`` by kind, any other callable (or a profile that raises)
+    one call per time.  Those calls stop before the first that raises; at
+    the first time it raises here, as the step making that call would."""
+    if isinstance(profile, TimeProfile):
+        try:
+            return profile.at_times(times)
+        except Exception:
+            pass
+    values = []
+    for t in times.tolist():
+        try:
+            values.append(profile(t))
+        except Exception:
+            if not values:
+                raise
+            break
+    return np.array(values, dtype=float)
 
 
-def _constant(folded, part: slice) -> bool:
-    """Whether every ``_fold``ed profile in ``part`` is ``Constant``."""
-    values, varying = folded
-    span = range(values.size)[part]
-    return not any(j in span for j, _ in varying)
-
-
-def _at(folded, t) -> np.ndarray:
-    """The values of ``_fold``ed profiles at time ``t``: the folded array
-    itself when none varies."""
-    values, varying = folded
-    if varying:
-        values = values.copy()
-        for j, profile in varying:
-            values[j] = profile(t)
-    return values
+def _schedule(profiles, times) -> np.ndarray:
+    """The ``profiles`` at ``times``, one row per time and one column per
+    profile, each distinct profile evaluated once; the rows stop where
+    some ``_series`` stops."""
+    distinct, columns = {}, []
+    for p in profiles:
+        columns.append(distinct.setdefault(id(p), (len(distinct), p))[0])
+    if not distinct:
+        return np.empty((times.size, 0))
+    series = [_series(p, times) for _, p in distinct.values()]
+    n = min(s.size for s in series)
+    return np.stack([s[:n] for s in series], axis=1)[:, columns]
 
 
 class _FlatLayout:
@@ -322,10 +329,10 @@ class _FlatLayout:
     grouped as the ends at slack nodes, the ends at demand nodes solved
     from their mass balance, and dead ends (a demand node with one pipe
     end), each group in node order and each node's ends in incidence
-    order.  Boost ratios, slack pressures and withdrawals are ``_fold``ed,
-    so only the profiles that vary are evaluated at each step.  A sample
-    reads each pipe's end cells and faces, and the nodes it reports from
-    a boundary cell, through index arrays and gases built here.
+    order; the ends' boost ratios, and the slack pressures and withdrawals
+    of the nodes, are listed in the same orders.  A sample reads each
+    pipe's end cells and faces, and the nodes it reports from a boundary
+    cell, through index arrays and gases built here.
     """
 
     def __init__(self, net: Network):
@@ -378,11 +385,10 @@ class _FlatLayout:
         groups = [[i for i, kind in enumerate(kinds) if kind == g]
                   for g in range(3)]
         self.slack_nodes = np.array(groups[0], dtype=np.intp)
-        self.slack_pressures = _fold([nodes[i].bc.pressure
-                                      for i in groups[0]])
+        self.slack_pressures = [nodes[i].bc.pressure for i in groups[0]]
         self.solved_nodes = np.array(groups[1], dtype=np.intp)
-        self.withdrawals = _fold([nodes[i].bc.withdrawal
-                                  for i in groups[1] + groups[2]])
+        self.withdrawals = [nodes[i].bc.withdrawal
+                            for i in groups[1] + groups[2]]
         ends = [(i, end) for g in groups for i in g
                 for end in net.incidence[nodes[i].id]]
         sizes = [sum(len(net.incidence[nodes[i].id]) for i in g)
@@ -409,7 +415,7 @@ class _FlatLayout:
         self.end_dx = np.array([e.dx for _, e in ends])
         self.area_dx = np.array([e.area * e.dx for _, e in ends])
         self.sgn_area = np.array([e.sgn * e.area for _, e in ends])
-        self.ratios = _fold([e.ratio for _, e in ends])
+        self.ratios = [e.ratio for _, e in ends]
         self.slack_gas = self.gas[self.end_cell[self.slack]]
         self.solved_poly = self.gas[self.end_cell[self.solved]].density_poly()
         # (nodes, their first pipe ends, those ends' cells and the gas of
@@ -439,23 +445,14 @@ class _StepPlan:
     The dt-scaled coefficients; views of the flat state; buffers for the
     cell pressures and their scratch, for the face kernel's scratch (the
     second takes the new fluxes) and for the density increment, so that a
-    step allocates no array of the cells' or faces' size; and each group
-    of pipe ends' indices and products, ``None`` for an empty group (the
+    step allocates no array of the cells' or faces' size; each group of
+    pipe ends' indices and products, ``None`` for an empty group (the
     slack group never is: a valid network has a slack node, with a pipe
-    end).  The ends whose flux lands their boundary cell on a target
-    density (slack and solved, in that order) are gathered together, and
-    their target densities go to one buffer.  ``sgn dx/dt``, ``4 w v`` and
-    a dead end's ``sgn S`` scale by a sign or a power of two, so each
-    rounds as the product it replaces.
-
-    The nodal terms whose profiles are all ``Constant`` are computed here,
-    once, by the expressions a step uses for them: the slack ends' target
-    densities (constant slack pressures and slack-end ratios), the solved
-    nodes' quadratic coefficients (constant solved-end ratios).  Each
-    folded term (``slack_target``, ``solved_maps``) is ``None`` where some
-    profile feeding it varies, and a step computes it.  So a constant
-    negative slack pressure raises here, at the first step, before the
-    face pass.
+    end); and the ``_NodalTable`` of the block of steps under way.  The
+    ends whose flux lands their boundary cell on a target density (slack
+    and solved, in that order) are gathered together.  ``sgn dx/dt``,
+    ``4 w v`` and a dead end's ``sgn S`` scale by a sign or a power of
+    two, so each rounds as the product it replaces.
     """
 
     def __init__(self, net: Network, dt: float):
@@ -478,14 +475,7 @@ class _StepPlan:
         # every slack node has one end
         self.slack_pos = None if fl.slack.stop == fl.slack_nodes.size \
             else np.searchsorted(fl.slack_nodes, fl.end_node[fl.slack])
-        self.target = np.empty(t.stop)
-        ratios = fl.ratios[0]    # the constant ones; NaN at the others
-        self.slack_target = self.solved = self.solved_maps = None
-        if not fl.slack_pressures[1] and _constant(fl.ratios, fl.slack):
-            self.slack_target = _slack_targets(
-                fl, self.slack_pos, ratios, fl.slack_pressures[0])
-            self.target[fl.slack] = self.slack_target
-        self.dead_face = None
+        self.solved = self.dead_face = None
         m, k = fl.solved, fl.solved_nodes.size
         if k:
             # (each end's node, node count, sgn S, w, w u, 4 w v)
@@ -493,31 +483,77 @@ class _StepPlan:
             u, v = fl.solved_poly
             self.solved = (fl.solved_pos, k, fl.sgn_area[m], w, w * u,
                            4.0 * (w * v))
-            if _constant(fl.ratios, m):
-                self.solved_maps = _solved_maps(self.solved, ratios[m])
         d = fl.dead
         if d.stop > d.start:
             self.dead_face = fl.end_face[d]
             self.dead_sgn_area = fl.sgn_area[d]
+        # a table row's floats; one table holds at most _TABLE_BYTES
+        row = len(fl.ratios) + len(fl.slack_pressures) + \
+            len(fl.withdrawals) + t.stop + (m.stop - m.start) + 3 * k
+        self.table_steps = max(1, min(_TABLE_STEPS,
+                                      _TABLE_BYTES // (8 * row)))
+        self.table, self.row = None, 0
 
 
-def _slack_targets(fl: _FlatLayout, slack_pos, alpha, p_slack):
-    """The densities that land the slack ends' boundary cells on their
-    nodes' boosted pressures, for the ends' ratios ``alpha`` and the slack
-    nodes' pressures ``p_slack``."""
-    p_ends = p_slack if slack_pos is None else p_slack[slack_pos]
-    return fl.slack_gas.density(alpha[fl.slack] * p_ends)
+_TABLE_STEPS = 256         # the most steps one nodal table serves
+_TABLE_BYTES = 1 << 20     # the most bytes one nodal table holds, about
 
 
-def _solved_maps(solved: tuple, al) -> tuple:
-    """``(al, a4, b, b * b, degenerate)`` of the solved nodes for the
-    solved ends' ratios ``al``: the sums ``4 w v al**2`` and ``w u al`` of
-    each node's density map, and whether some ``b`` is not positive (fmin
-    skips NaN, as the comparisons of the step's error mask do)."""
-    pos, k, _, _, wu, wv4 = solved
-    b = np.bincount(pos, wu * al, k)
-    return (al, np.bincount(pos, wv4 * al * al, k), b, b * b,
-            bool(np.fmin.reduce(b) <= 0.0))
+class _NodalTable:
+    """Every nodal term that depends on time alone, for a block of steps
+    at the plan's ``dt`` from time ``t``.
+
+    Row ``i`` serves the step from ``times[i]``, the time that ``t``
+    reaches after ``i`` steps of ``time = time + dt``.  It holds, at the
+    step's ``time + dt``, the ends' boost ratios (``alpha``) and the slack
+    nodes' pressures; at ``time + dt/2``, the solved nodes' withdrawals
+    (``q_solved``) and the dead ends' fluxes ``q / (sgn S)``
+    (``dead_flux``); the targeted ends' densities (``target``: the slack
+    ends' landing densities, the solved ends' left for the step to write)
+    and whether some boosted slack pressure is negative; the solved ends'
+    ratios ``al``, each solved node's sums ``a4 = 4 w v al**2`` and
+    ``b = w u al`` and ``bb = b * b``, and whether some ``b`` is not
+    positive (fmin skips NaN, as the comparisons of the step's error mask
+    do).  Each term is the expression a step used to compute alone, on
+    ``(steps, ends)`` arrays, so each row has that step's bits; each
+    node's sums run in incidence order, in one ``np.bincount`` over
+    row-offset indices.  Nothing raises or warns here: the step that
+    reads a row raises for its flags.  The rows stop before a time at
+    which a profile call raised (see ``_series``).
+    """
+
+    def __init__(self, fl: _FlatLayout, plan: _StepPlan, t: float):
+        dt = plan.dt
+        times = np.add.accumulate(np.r_[t, np.full(plan.table_steps, dt)])
+        with np.errstate(all="ignore"):
+            alpha, p_slack, q = (
+                _schedule(fl.ratios, times[1:]),
+                _schedule(fl.slack_pressures, times[1:]),
+                _schedule(fl.withdrawals, times[:-1] + 0.5 * dt))
+            n = min(len(alpha), len(p_slack), len(q))
+            self.times = times[:n].tolist()
+            self.alpha, self.p_slack = alpha[:n], p_slack[:n]
+            k = fl.solved_nodes.size
+            self.q_solved = q[:n, :k]
+            if plan.dead_face is not None:
+                self.dead_flux = q[:n, k:] / plan.dead_sgn_area
+            p = self.alpha[:, fl.slack] * (
+                self.p_slack if plan.slack_pos is None
+                else self.p_slack[:, plan.slack_pos])
+            self.negative = (p < 0.0).any(axis=1).tolist()
+            self.target = np.empty((n, fl.targeted.stop))
+            self.target[:, fl.slack] = fl.slack_gas.density(
+                np.where(p < 0.0, 0.0, p))
+            if plan.solved is not None:
+                pos, _, _, _, wu, wv4 = plan.solved
+                self.al = al = self.alpha[:, fl.solved]
+                rows = (pos + k * np.arange(n)[:, None]).ravel()
+                self.a4, self.b = (
+                    np.bincount(rows, x.ravel(), k * n).reshape(n, k)
+                    for x in (wv4 * al * al, wu * al))
+                self.bb = self.b * self.b
+                self.degenerate = (np.fmin.reduce(self.b, axis=1)
+                                   <= 0.0).tolist()
 
 
 def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
@@ -541,48 +577,52 @@ def nodal_pressure_solve(weights, alphas, rho_ends, polys, q, inflow,
     return 2.0 * rhs / (b + math.sqrt(b * b + 4.0 * a * rhs))
 
 
-def _nodal_phase(net: Network, plan: _StepPlan, t_half, t_next):
+def _nodal_phase(net: Network, plan: _StepPlan):
     """Assign every pipe-end flux from the nodal conditions.
 
     A slack node's ends land their boundary cells on the boosted nodal
     pressure; a dead end carries the withdrawal; every other demand node
-    solves ``nodal_pressure_solve``'s quadratic, all nodes at once.
-    Returns the ends' boost ratios and the slack and solved nodes'
-    pressures at ``t_next`` (``None`` for no solved node).
+    solves ``nodal_pressure_solve``'s quadratic, all nodes at once.  The
+    time-only terms come from the plan's table row for ``net.time``; a
+    table is built when the block has none.  Returns the ends' boost
+    ratios and the slack and solved nodes' pressures at the step's end
+    (``None`` for no solved node).
     """
     fl, rho, phi = net._flat, net.rho, net.phi
-    alpha = _at(fl.ratios, t_next)
-    p_slack = _at(fl.slack_pressures, t_next)
-    q = _at(fl.withdrawals, t_half)
+    table, i = plan.table, plan.row
+    if table is None or i == len(table.times) or table.times[i] != net.time:
+        table = plan.table = None    # dropped before the next is built
+        table = plan.table = _NodalTable(fl, plan, net.time)
+        i = 0
+    plan.row = i + 1
+    if table.negative[i]:
+        raise ValueError("pressure must be non-negative")
+    alpha, p_slack, rho_t = table.alpha[i], table.p_slack[i], table.target[i]
     rho_end, phi_inner = rho[plan.cell], phi[plan.inner]
-    rho_t = plan.target
-    if plan.slack_target is None:
-        rho_t[fl.slack] = _slack_targets(fl, plan.slack_pos, alpha, p_slack)
 
-    k, p_solved = 0, None
+    p_solved = None
     if plan.solved is not None:
         pos, k, sgn_area, w = plan.solved[:4]
         m = fl.solved
-        al, a4, b, bb, degenerate = plan.solved_maps or \
-            _solved_maps(plan.solved, alpha[m])
-        rhs = np.bincount(pos, w * rho_end[m], k) - q[:k] + \
+        b = table.b[i]
+        rhs = np.bincount(pos, w * rho_end[m], k) - table.q_solved[i] + \
             np.bincount(pos, sgn_area * phi_inner[m], k)
         # fmin skips NaN, as the comparisons of the mask below do
-        if np.fmin.reduce(rhs) < 0.0 or degenerate:
-            i = int(np.flatnonzero((rhs < 0.0) | (b <= 0.0))[0])
+        if np.fmin.reduce(rhs) < 0.0 or table.degenerate[i]:
+            j = int(np.flatnonzero((rhs < 0.0) | (b <= 0.0))[0])
             raise InfeasibleNodeError(
-                fl.node_ids[fl.solved_nodes[i]],
-                f"balance rhs {rhs[i]:g} < 0" if rhs[i] < 0.0
+                fl.node_ids[fl.solved_nodes[j]],
+                f"balance rhs {rhs[j]:g} < 0" if rhs[j] < 0.0
                 else "degenerate density map")
-        p_solved = 2.0 * rhs / (b + np.sqrt(bb + a4 * rhs))
-        p_end = al * p_solved[pos]
+        p_solved = 2.0 * rhs / (b + np.sqrt(table.bb[i] + table.a4[i] * rhs))
+        p_end = table.al[i] * p_solved[pos]
         u, v = fl.solved_poly
         rho_t[m] = u * p_end + v * p_end ** 2
 
     # the boundary flux that lands each boundary cell on its target density
     phi[plan.face] = phi_inner - plan.sgn_dx_dt * (rho_t - rho_end)
     if plan.dead_face is not None:
-        phi[plan.dead_face] = q[k:] / plan.dead_sgn_area
+        phi[plan.dead_face] = table.dead_flux[i]
     return alpha, p_slack, p_solved
 
 
@@ -602,7 +642,6 @@ def network_step(net: Network, dt: float) -> None:
     plan = net._plan
     if plan is None or plan.dt != dt:
         plan = net._plan = _StepPlan(net, dt)
-    t_half = net.time + 0.5 * dt
     t_next = net.time + dt
 
     for e in net._dual_compressor_edges:
@@ -627,7 +666,7 @@ def network_step(net: Network, dt: float) -> None:
             raise UnstableRunError(net.step_index, face, net.edges[k].id)
     plan.faces[...] = new
 
-    solve = _nodal_phase(net, plan, t_half, t_next)
+    solve = _nodal_phase(net, plan)
 
     increment = np.subtract(plan.upper, plan.lower, out=plan.increment)
     increment *= plan.dt_dx
@@ -658,8 +697,9 @@ def node_arrays(net: Network, p, netflow) -> tuple:
     net.require_states()
     fl = net._flat
     if net._solve is None:      # every demand node is pulled back
-        alpha = _at(fl.ratios, net.time)
-        p[fl.slack_nodes] = _at(fl.slack_pressures, net.time)
+        now = np.array([net.time])
+        alpha = _schedule(fl.ratios, now)[0]
+        p[fl.slack_nodes] = _schedule(fl.slack_pressures, now)[0]
         nodes, ends, cells, gas = fl.report
     else:                       # the dead ends; the step solved the others
         alpha, p[fl.slack_nodes], p_solved = net._solve

@@ -3,7 +3,9 @@
 A profile maps time in seconds to a value; profiles with a ``period`` wrap
 time first (``t mod period``).  Every number a profile is built from must be
 finite, except that a step sequence's last interval may end at ``+inf``.
-Instances are frozen dataclasses: immutable, and freely shared.
+Instances are frozen dataclasses: immutable, and freely shared.  A profile
+evaluates an array of times at once, in the operations of its scalar form,
+so each value has the bits of the profile's call at that time.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 
 def _float(value) -> float:
@@ -57,6 +61,17 @@ class TimeProfile:
     def _value(self, t: float) -> float:
         raise NotImplementedError
 
+    def at_times(self, times: np.ndarray) -> np.ndarray:
+        """The profile at every entry of the float array ``times``, each
+        the bits of ``self(t)``: ``np.remainder`` is Python's float ``%``."""
+        if self.period is not None:
+            times = np.remainder(times, self.period)
+        return self._at_times(times)
+
+    def _at_times(self, t: np.ndarray) -> np.ndarray:
+        """``_value`` at every wrapped time, one call per time."""
+        return np.array([self._value(x) for x in t.tolist()], dtype=float)
+
     def minimum(self) -> float:
         """The lowest value the profile can take."""
         raise NotImplementedError
@@ -77,6 +92,9 @@ class Constant(TimeProfile):
 
     def _value(self, t):
         return self.value
+
+    def _at_times(self, t):
+        return np.full(t.shape, self.value)
 
     def minimum(self):
         return self.value
@@ -103,6 +121,15 @@ class Harmonic(TimeProfile):
 
     def _value(self, t):
         s = math.sin(self.omega * (t - self.phase))
+        if self.relative:
+            return self.offset * (1.0 + self.amplitude * s)
+        return self.offset + self.amplitude * s
+
+    def _at_times(self, t):
+        x = self.omega * (t - self.phase)
+        if np.isinf(x).any():    # where math.sin raises
+            return super()._at_times(t)
+        s = np.sin(x)
         if self.relative:
             return self.offset * (1.0 + self.amplitude * s)
         return self.offset + self.amplitude * s
@@ -147,6 +174,16 @@ class PiecewiseLinear(TimeProfile):
         v0, v1 = values[i - 1], values[i]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
+    def _at_times(self, t):
+        times, values = np.array(self._times), np.array(self._values)
+        if self.strict and (t < times[0]).any():    # each such call warns
+            return super()._at_times(t)
+        i = np.searchsorted(times, t, side="right").clip(1, times.size - 1)
+        t0, t1, v0, v1 = times[i - 1], times[i], values[i - 1], values[i]
+        inner = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return np.where(t <= times[0], values[0],
+                        np.where(t >= times[-1], values[-1], inner))
+
     def minimum(self):
         return min(self._values)
 
@@ -180,6 +217,10 @@ class StepSequence(TimeProfile):
     def _value(self, t):
         i = bisect.bisect_right(self._ends, t)
         return self._values[min(i, len(self._values) - 1)]
+
+    def _at_times(self, t):
+        i = np.searchsorted(self._ends, t, side="right")
+        return np.array(self._values)[np.minimum(i, len(self._values) - 1)]
 
     def minimum(self):
         return min(self._values)

@@ -192,6 +192,11 @@ def test_criterion_6_traveling_wave_refinement():
           f"{fine['error']:.3e})")
 
 
+def test_criterion_6_wave_advances():
+    res = run_traveling_wave(n_cells=100, n_steps=12)
+    assert res["t_end"] == pytest.approx(1000.0 / 377.9683)
+
+
 # -- criterion 7: junction balance every step ---------------------------------
 
 def test_criterion_7_junction_balance():

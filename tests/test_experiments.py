@@ -17,13 +17,13 @@ from gasnetsim.experiments import (MassLedger, l2_error, l2_norm,
                                    run_temperature_effect, simulate_network,
                                    five_node_network)
 from gasnetsim.eos import CngaGas
-from gasnetsim.network import DemandBC, Network, Node, PipeEdge, SlackBC
+from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
+                               network_step, node_arrays)
 from gasnetsim.output import CSV_HEADER, SeriesWriter, write_series
 from gasnetsim.pipe import PipeGeometry, PipeGrid, uniform_state
 from gasnetsim.profiles import Constant
 from gasnetsim.steady import solve_steady_state
 from support import edge, node, read_series, series
-from test_acceptance import run_traveling_wave
 
 
 class TestL2Error:
@@ -84,17 +84,6 @@ class TestConvergenceStudy:
         doc = rep.to_dict()
         assert set(doc["rates"]) == {"rho", "p", "phi"}
         assert len(doc["dts"]) == 3
-
-
-class TestTravelingWave:
-    def test_shape_error_drops_by_order_two(self):
-        coarse = run_traveling_wave(n_cells=150, n_steps=18)
-        fine = run_traveling_wave(n_cells=450, n_steps=54)
-        assert coarse["error"] / fine["error"] >= 8.0
-
-    def test_wave_advances(self):
-        res = run_traveling_wave(n_cells=100, n_steps=12)
-        assert res["t_end"] == pytest.approx(1000.0 / 377.9683)
 
 
 class TestFastTransient:
@@ -227,6 +216,30 @@ class TestFiveNodeNetwork:
                           for i in "12345"])
         diffs = np.abs(np.diff(final, axis=0)).max(axis=1)
         assert diffs[0] / diffs[1] >= 3.5
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the discrete pipe spans its end cells' "
+                       "centres, dx shorter than the pipe, so a steady "
+                       "start drifts toward that shorter pipe's steady "
+                       "state (ROADMAP direction 11)")
+    def test_a_steady_start_with_frozen_schedules_stays_steady(self):
+        # every schedule frozen at its t = 0 value; after 600 s at dx 250
+        # (dt = dx/500) each node should still sit at its steady pressure
+        net = five_node_network(CngaGas(), dx_target=250.0)
+        for e in net.edges:
+            e.inlet_ratio = e.inlet_ratio and Constant(e.inlet_ratio(0.0))
+            e.outlet_ratio = e.outlet_ratio and Constant(e.outlet_ratio(0.0))
+        net = Network([Node(n.id, SlackBC(Constant(n.bc.pressure(0.0)))
+                            if n.is_slack else
+                            DemandBC(Constant(n.bc.withdrawal(0.0))))
+                       for n in net.nodes], net.edges, net.eos)
+        steady = solve_steady_state(net, t0=0.0)
+        steady.populate(net, t0=0.0)
+        for _ in range(1200):
+            network_step(net, 0.5)
+        p, _ = node_arrays(net, *np.empty((2, len(net.nodes))))
+        drift = np.abs(p - [steady.node_pressures[n.id] for n in net.nodes])
+        assert drift.max() < 100.0    # today ~1.96 kPa
 
     def test_empty_run_has_single_sample(self):
         net = five_node_network(CngaGas(), dx_target=2000.0)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gasnetsim import pipe as pipe_ops
+from gasnetsim import network, pipe as pipe_ops
 from gasnetsim.config import build_network, parse_config
 from gasnetsim.eos import (CngaGas, IdealGas, NonIsothermalCnga,
                            TemperatureProfile)
@@ -742,8 +742,7 @@ class TestFlatStep:
                                          *((g,) for g in RING_GROUPS)],
                              ids=["all", *RING_GROUPS])
     def test_constant_and_varying_profiles_step_bitwise(self, varying):
-        # the same values as Constant profiles, whose nodal terms the step
-        # plan folds, and as StepSequence ones, which every step evaluates:
+        # the same values as Constant profiles and as StepSequence ones:
         # every group at once, then one group while the rest stay Constant
         nets = [ring_with_compressors(), ring_with_compressors(varying)]
         dt = 0.5 * nets[0].cfl_max_dt()
@@ -757,13 +756,17 @@ class TestFlatStep:
             assert np.array_equal(rho, rho_2) and np.array_equal(phi, phi_2)
             for a, b in zip(nodes, nodes_2):
                 assert np.array_equal(a, b)
-        # each fold is off exactly where a group that feeds it varies
-        folded, unfolded = (net._plan for net in nets)
-        assert folded.slack_target is not None and \
-            folded.solved_maps is not None
-        assert (unfolded.slack_target is None) is (
-            "slack_pressure" in varying or "slack_ratios" in varying)
-        assert (unfolded.solved_maps is None) is ("solved_ratios" in varying)
+        # one table served every step on each side, and a constant term is
+        # a column that does not vary: both tables hold the same bits
+        tables = [net._plan.table for net in nets]
+        assert all(net._plan.row == 20 for net in nets)
+        slack = nets[0]._flat.slack
+        for a, b in [*((getattr(tables[0], name), getattr(tables[1], name))
+                       for name in ("alpha", "p_slack", "q_solved", "al",
+                                    "a4", "b", "bb", "dead_flux")),
+                     (tables[0].target[:, slack], tables[1].target[:, slack])]:
+            assert np.array_equal(a, b)
+            assert (a == a[0]).all()
 
     def test_zero_ratios_at_a_junction_are_degenerate_in_the_first_step(self):
         net = chain_network()
@@ -783,6 +786,72 @@ class TestFlatStep:
                            match="pressure must be non-negative"):
             network_step(net, 1.0)
         assert net.step_index == 0 and net.time == 0.0
+
+    @pytest.mark.parametrize("turn", ["slack_pressure", "junction_ratios"])
+    def test_a_term_turning_infeasible_raises_at_its_step(self, turn):
+        # step 5 (from t = 5 s) reads the values at t = 6 s, which turn
+        # infeasible after 5.5 s; the table built at step 0 holds them
+        good, bad = (6.5e6, -1.0) if turn == "slack_pressure" else (1.0, 0.0)
+        turning = StepSequence([(5.5, good), (math.inf, bad)])
+        net = chain_network()
+        nodes = net.nodes
+        if turn == "slack_pressure":
+            nodes = [Node("a", SlackBC(turning)), *nodes[1:]]
+        else:
+            edge(net, "a").outlet_ratio = edge(net, "m").inlet_ratio = turning
+        net = Network(nodes, net.edges, net.eos)
+        error, message = (ValueError, "pressure must be non-negative") \
+            if turn == "slack_pressure" else \
+            (InfeasibleNodeError, "node b: degenerate density map")
+        for _ in range(5):
+            network_step(net, 1.0)
+        table = net._plan.table
+        with pytest.raises(error, match=message):
+            network_step(net, 1.0)
+        assert net.step_index == 5 and net.time == 5.0
+        assert net._plan.table is table and table.times[0] == 0.0
+
+    def test_each_table_row_steps_as_a_fresh_network(self, monkeypatch):
+        # blocks of 4 steps: a table is built at steps 0, 4, 8 and 12, at
+        # a new dt and after the clock is set from outside, and every step
+        # matches the first step of a fresh network from the same state
+        monkeypatch.setattr(network, "_TABLE_STEPS", 4)
+        net, tables = varying_chain(), []
+
+        def step(dt):
+            fresh = varying_chain()
+            for e, f in zip(net.edges, fresh.edges):
+                f.state = PipeState(e.state.rho.copy(), e.state.phi.copy())
+            fresh.time = net.time
+            network_step(net, dt)
+            network_step(fresh, dt)
+            assert np.array_equal(net.rho, fresh.rho)
+            assert np.array_equal(net.phi, fresh.phi)
+            for a, b in zip(*(node_arrays(n, *np.empty((2, len(n.nodes))))
+                              for n in (net, fresh))):
+                assert np.array_equal(a, b)
+            if not tables or net._plan.table is not tables[-1]:
+                tables.append(net._plan.table)
+
+        for _ in range(14):
+            step(1.0)
+        assert len(tables) == 4
+        for _ in range(2):
+            step(0.5)
+        assert len(tables) == 5
+        net.time = 0.0
+        step(0.5)
+        assert len(tables) == 6 and tables[-1].times[0] == 0.0
+
+
+def varying_chain():
+    """``chain_network`` with a harmonic slack pressure, withdrawal at
+    ``b`` and boost ratio into pipe ``m``."""
+    net = chain_network()
+    edge(net, "m").inlet_ratio = Harmonic(1.1, 0.05, 0.02)
+    return Network([Node("a", SlackBC(Harmonic(6.5e6, 1e5, 0.05))),
+                    Node("b", DemandBC(Harmonic(0.0, 20.0, 0.03))),
+                    *net.nodes[2:]], net.edges, net.eos)
 
 
 def ring_with_compressors(varying=()):

@@ -187,3 +187,51 @@ def test_minimum_is_the_lowest_value(profile):
     values = [profile(t) for t in np.linspace(0.0, 20.0, 4001)]
     assert profile.minimum() == pytest.approx(min(values), abs=1e-4)
     assert profile.minimum() <= min(values)
+
+
+def guard_times():
+    """2.4e5 times: uniform on [0, 1e7] s and [0, 1e5] s, every 1/8 s
+    from 0 and from 1e7 s, and each guarded profile's knots and interval
+    ends with their neighbouring floats."""
+    rng = np.random.default_rng(2501)
+    edges = np.array([0.0, 3600.0, 5400.0, 7200.0, 43200.0, 86400.0])
+    return np.concatenate((
+        rng.uniform(0.0, 1e7, 100_000), rng.uniform(0.0, 1e5, 100_000),
+        np.arange(20_000) / 8.0, 1e7 + np.arange(20_000) / 8.0,
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
+
+
+@pytest.mark.parametrize("profile", [
+    Harmonic(offset=5e6, amplitude=2e5, omega=2 * math.pi / 86400.0,
+             phase=1800.0),
+    Harmonic(offset=150.0, amplitude=0.3, omega=7.3e-4, relative=True),
+    Harmonic(offset=5e6, amplitude=2e5, omega=2 * math.pi / 86400.0,
+             period=86400.0),
+    Harmonic(offset=1.3, amplitude=0.1, omega=2 * math.pi / 3600.0,
+             phase=-250.0, relative=True, period=5400.0),
+    PiecewiseLinear([(3600.0, 1.0), (5400.0, 1.4), (7200.0, 1.1)]),
+    PiecewiseLinear([(0.0, 150.0), (3600.0, 210.0), (43200.0, 90.0),
+                     (86400.0, 150.0)], period=86400.0),
+    StepSequence([(3600.0, 1.1), (7200.0, 1.25), (math.inf, 1.4)]),
+    StepSequence([(5400.0, 6.5e6), (43200.0, 6.1e6)], period=86400.0),
+], ids=["harmonic", "harmonic_relative", "harmonic_periodic",
+        "harmonic_relative_periodic", "piecewise_linear",
+        "piecewise_linear_periodic", "step_sequence_inf",
+        "step_sequence_periodic"])
+def test_at_times_is_each_call_bit_for_bit(profile):
+    # the network's nodal table evaluates profiles over arrays of times:
+    # np.sin must give math.sin's bits, and np.remainder Python's %
+    t = guard_times()
+    calls = np.array([profile(x) for x in t.tolist()])
+    assert np.array_equal(profile.at_times(t).view(np.int64),
+                          calls.view(np.int64))
+
+
+def test_at_times_falls_back_to_calls_where_a_call_warns_or_raises():
+    strict = PiecewiseLinear([(10.0, 3.0), (20.0, 5.0)], strict=True)
+    with pytest.warns(UserWarning, match="before first knot"):
+        assert strict.at_times(np.array([0.0, 15.0])).tolist() == [3.0, 4.0]
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        # math.sin of an infinity
+        Harmonic(offset=1.0, amplitude=1.0, omega=1e308).at_times(
+            np.array([0.0, 10.0]))
