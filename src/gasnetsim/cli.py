@@ -44,8 +44,8 @@ _FLAGS = {
                                           "sizes an unset step (default "
                                           "0.9, or the config value for "
                                           "'run')"),
-    "--strict": dict(action="store_true", help="reject unknown config keys "
-                                               "and report profile clamping"),
+    "--strict": dict(action="store_true", help="reject unknown keys and warn "
+                                               "once per clamping profile"),
 }
 _RUN_FLAGS = ("--dt", "--dx", "--t-end", "--out", "--cadence", "--cfl-safety")
 
@@ -85,7 +85,7 @@ def _cmd_run(args):
     if args.cfl_safety is not None and args.dt is None and sim.dt:
         raise ConfigError(["--cfl-safety sizes no step: the config sets "
                            "simulation.dt"])
-    net = build_network(cfg, dx_target=args.dx, strict=args.strict)
+    net = build_network(cfg, dx_target=args.dx)
     steady = solve_steady_state(net, t0=0.0)
     steady.populate(net, t0=0.0)
     safety = sim.cfl_safety if args.cfl_safety is None else args.cfl_safety
@@ -108,7 +108,7 @@ def _cmd_check_config(args):
 
 def _cmd_steady(args):
     cfg = load_config(args.config, strict=args.strict)
-    net = build_network(cfg, dx_target=args.dx, strict=args.strict)
+    net = build_network(cfg, dx_target=args.dx)
     steady = solve_steady_state(net, t0=0.0)
     for node_id, p in steady.node_pressures.items():
         print(f"node {node_id}: pressure {p:.6g} Pa")

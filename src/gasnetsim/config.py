@@ -16,9 +16,11 @@ Schema (version ``v1``)::
     }
 
 Profiles are either a bare number (constant) or a dict with a ``type`` key
-(``constant``, ``harmonic``, ``piecewise_linear``, ``step_sequence``).
-Validation collects every violation before failing; in strict mode unknown
-keys are rejected as well.
+(``constant``, ``harmonic``, ``piecewise_linear``, ``step_sequence``), and
+every number in them is a JSON number.  Validation collects every violation
+before failing; in strict mode unknown keys are rejected as well, and each
+piecewise-linear profile whose first knot lies after t = 0 (where every run
+starts, and a period wraps to) warns once, naming its location.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .eos import EOS_KEYS, make_eos
@@ -33,7 +36,7 @@ from .errors import ConfigError
 from .network import DemandBC, Network, Node, PipeEdge, SlackBC, \
     cell_count_violation, graph_violations, grid_for_length
 from .pipe import PipeGeometry
-from .profiles import profile_from_config
+from .profiles import PiecewiseLinear, profile_from_config
 
 SCHEMA_VERSION = "v1"
 
@@ -121,22 +124,20 @@ def _expect_keys(section, obj, required, optional, problems, strict):
             problems.append(f"{section}: unknown keys {sorted(unknown)}")
 
 
-def _check_profile(section, cfg, problems):
-    """The profile built from ``cfg``, or None once its fault is listed."""
+def _check_profile(section, cfg, problems, positive, clamped):
+    """List the fault of profile ``cfg``, or its minimum if ``positive`` (a
+    slack pressure or a boost ratio) and not above zero; note a profile
+    that a run clamps in ``clamped``, with its first knot's time."""
     try:
-        return profile_from_config(cfg)
+        profile = profile_from_config(cfg)
     except (ValueError, TypeError) as exc:
         problems.append(f"{section}: bad profile ({exc})")
-        return None
-
-
-def _check_positive_profile(section, cfg, problems):
-    """As ``_check_profile``, for a profile that must stay above zero (a
-    slack pressure or a boost ratio)."""
-    profile = _check_profile(section, cfg, problems)
-    if profile is not None and profile.minimum() <= 0:
+        return
+    if positive and profile.minimum() <= 0:
         problems.append(f"{section}: profile must stay positive, but can "
                         f"reach {profile.minimum():g}")
+    if isinstance(profile, PiecewiseLinear) and profile.knots[0][0] > 0:
+        clamped.append((section, profile.knots[0][0]))
 
 
 def _objects(doc, key, problems) -> list:
@@ -172,7 +173,7 @@ def _is_positive(value) -> bool:
 def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
     """Validate a parsed JSON document; raises ConfigError listing every
     violation found."""
-    problems = []
+    problems, clamped = [], []
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be an object"])
     _expect_keys("config", doc, {"version", "eos", "nodes", "pipes"},
@@ -213,9 +214,8 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
         if kind not in ("slack", "demand"):
             problems.append(f"{label}: kind must be 'slack' or 'demand'")
         elif value_key in nd:
-            check = _check_positive_profile if kind == "slack" \
-                else _check_profile
-            check(label, nd[value_key], problems)
+            _check_profile(label, nd[value_key], problems, kind == "slack",
+                           clamped)
 
     pipes = _objects(doc, "pipes", problems)
     for label, pd in pipes:
@@ -247,7 +247,7 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
         else:
             seen_comp.add(key)
         if "ratio" in cd:
-            _check_positive_profile(label, cd["ratio"], problems)
+            _check_profile(label, cd["ratio"], problems, True, clamped)
 
     sd = doc.get("simulation")
     if "simulation" in doc and not isinstance(sd, dict):
@@ -276,6 +276,9 @@ def parse_config(doc: dict, strict: bool = False) -> NetworkConfig:
 
     if problems:
         raise ConfigError(problems)
+    for label, t0 in clamped if strict else ():
+        warnings.warn(f"{label}: profile holds its first value before its "
+                      f"first knot at t = {t0:g} s", stacklevel=2)
     return NetworkConfig(
         eos=dict(eos_cfg),
         nodes=[NodeConfig(id=str(nd["id"]), kind=nd["kind"],
@@ -318,22 +321,21 @@ def config_sha(cfg: NetworkConfig | dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def build_network(cfg: NetworkConfig, dx_target: float | None = None,
-                  strict: bool = False) -> Network:
+def build_network(cfg: NetworkConfig,
+                  dx_target: float | None = None) -> Network:
     """Instantiate the runtime Network from a validated config."""
     eos = make_eos(cfg.eos["kind"],
                    **{k: v for k, v in cfg.eos.items() if k != "kind"})
     nodes = []
     for nc in cfg.nodes:
-        profile = profile_from_config(nc.profile, strict=strict)
+        profile = profile_from_config(nc.profile)
         bc = SlackBC(profile) if nc.kind == "slack" else DemandBC(profile)
         nodes.append(Node(nc.id, bc))
     if dx_target is None:
         dx_target = cfg.simulation.dx_target if cfg.simulation else 500.0
     ratios = {}
     for cc in cfg.compressors:
-        ratios[(cc.pipe, cc.side)] = profile_from_config(cc.ratio,
-                                                         strict=strict)
+        ratios[(cc.pipe, cc.side)] = profile_from_config(cc.ratio)
     edges = []
     for pc in cfg.pipes:
         edges.append(PipeEdge(

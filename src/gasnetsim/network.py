@@ -471,10 +471,9 @@ class _StepPlan:
         self.cell, self.inner = fl.end_cell[t], fl.end_inner[t]
         self.face = fl.end_face[t]
         self.sgn_dx_dt = fl.sgn[t] * (fl.end_dx[t] / dt)
-        # each slack end's node among the slack nodes: none to gather when
-        # every slack node has one end
-        self.slack_pos = None if fl.slack.stop == fl.slack_nodes.size \
-            else np.searchsorted(fl.slack_nodes, fl.end_node[fl.slack])
+        # each slack end's node among the slack nodes
+        self.slack_pos = np.searchsorted(fl.slack_nodes,
+                                         fl.end_node[fl.slack])
         self.solved = self.dead_face = None
         m, k = fl.solved, fl.solved_nodes.size
         if k:
@@ -537,9 +536,7 @@ class _NodalTable:
             self.q_solved = q[:n, :k]
             if plan.dead_face is not None:
                 self.dead_flux = q[:n, k:] / plan.dead_sgn_area
-            p = self.alpha[:, fl.slack] * (
-                self.p_slack if plan.slack_pos is None
-                else self.p_slack[:, plan.slack_pos])
+            p = self.alpha[:, fl.slack] * self.p_slack[:, plan.slack_pos]
             self.negative = (p < 0.0).any(axis=1).tolist()
             self.target = np.empty((n, fl.targeted.stop))
             self.target[:, fl.slack] = fl.slack_gas.density(

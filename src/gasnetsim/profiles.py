@@ -1,8 +1,9 @@
 """Time-varying schedules for boundary data, withdrawals and boost ratios.
 
 A profile maps time in seconds to a value; profiles with a ``period`` wrap
-time first (``t mod period``).  Every number a profile is built from must be
-finite, except that a step sequence's last interval may end at ``+inf``.
+time first (``t mod period``), and the subclasses' methods act on wrapped
+time.  Every number a profile is built from is a finite number (no boolean
+or string), except that a step sequence's last interval may end at ``+inf``.
 Instances are frozen dataclasses: immutable, and freely shared.  A profile
 evaluates an array of times at once, in the operations of its scalar form,
 so each value has the bits of the profile's call at that time.
@@ -13,15 +14,16 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 
-def _float(value) -> float:
+def _float(value, name) -> float:
     """``value`` as a float, an integer beyond the float range as an
-    infinity."""
+    infinity; raises TypeError for a boolean or a string."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -30,7 +32,7 @@ def _float(value) -> float:
 
 def _finite(value, name) -> float:
     """``value`` as a float; raises ValueError unless it is finite."""
-    value = _float(value)
+    value = _float(value, name)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -38,16 +40,17 @@ def _finite(value, name) -> float:
 
 @dataclass(frozen=True)
 class TimeProfile:
-    """Base class; subclasses implement ``_value`` on wrapped time."""
+    """Base class; subclasses implement ``_value`` and ``_at_times``."""
 
     kind = ""
     period: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        # an integer period beyond the float range is not finite either
-        if self.period is not None and \
-                not 0 < self.period <= sys.float_info.max:
-            raise ValueError("period must be positive and finite")
+        if self.period is not None:
+            period = _float(self.period, "period")
+            if not 0 < period <= sys.float_info.max:
+                raise ValueError("period must be positive and finite")
+            object.__setattr__(self, "period", period)
         for f in fields(self):      # every field annotated "float" is finite
             if f.type == "float":
                 object.__setattr__(self, f.name,
@@ -67,10 +70,6 @@ class TimeProfile:
         if self.period is not None:
             times = np.remainder(times, self.period)
         return self._at_times(times)
-
-    def _at_times(self, t: np.ndarray) -> np.ndarray:
-        """``_value`` at every wrapped time, one call per time."""
-        return np.array([self._value(x) for x in t.tolist()], dtype=float)
 
     def minimum(self) -> float:
         """The lowest value the profile can take."""
@@ -117,7 +116,9 @@ class Harmonic(TimeProfile):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "relative", bool(self.relative))
+        if not isinstance(self.relative, bool):
+            raise TypeError(f"relative must be a boolean, got "
+                            f"{self.relative!r}")
 
     def _value(self, t):
         s = math.sin(self.omega * (t - self.phase))
@@ -127,8 +128,8 @@ class Harmonic(TimeProfile):
 
     def _at_times(self, t):
         x = self.omega * (t - self.phase)
-        if np.isinf(x).any():    # where math.sin raises
-            return super()._at_times(t)
+        if np.isinf(x).any():
+            raise ValueError("math domain error")    # as math.sin raises
         s = np.sin(x)
         if self.relative:
             return self.offset * (1.0 + self.amplitude * s)
@@ -145,7 +146,6 @@ class PiecewiseLinear(TimeProfile):
 
     kind = "piecewise_linear"
     knots: tuple
-    strict: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -163,9 +163,6 @@ class PiecewiseLinear(TimeProfile):
     def _value(self, t):
         times, values = self._times, self._values
         if t <= times[0]:
-            if self.strict and t < times[0]:
-                warnings.warn(f"profile evaluated at t={t} before first knot "
-                              f"{times[0]}; clamping", stacklevel=3)
             return values[0]
         if t >= times[-1]:
             return values[-1]
@@ -176,8 +173,6 @@ class PiecewiseLinear(TimeProfile):
 
     def _at_times(self, t):
         times, values = np.array(self._times), np.array(self._values)
-        if self.strict and (t < times[0]).any():    # each such call warns
-            return super()._at_times(t)
         i = np.searchsorted(times, t, side="right").clip(1, times.size - 1)
         t0, t1, v0, v1 = times[i - 1], times[i], values[i - 1], values[i]
         inner = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
@@ -201,7 +196,7 @@ class StepSequence(TimeProfile):
 
     def __post_init__(self):
         super().__post_init__()
-        intervals = tuple((_float(te), _finite(v, "value"))
+        intervals = tuple((_float(te, "interval end"), _finite(v, "value"))
                           for te, v in self.intervals)
         if not intervals:
             raise ValueError("need at least one interval")
@@ -230,7 +225,7 @@ _KINDS = {cls.kind: cls for cls in (Constant, Harmonic, PiecewiseLinear,
                                     StepSequence)}
 
 
-def profile_from_config(cfg, strict: bool = False) -> TimeProfile:
+def profile_from_config(cfg) -> TimeProfile:
     """Build a profile from its config dict; bare numbers mean constant."""
     if isinstance(cfg, (int, float)):
         return Constant(cfg)
@@ -240,7 +235,4 @@ def profile_from_config(cfg, strict: bool = False) -> TimeProfile:
     kind = cfg["type"]
     if kind not in _KINDS:
         raise ValueError(f"unknown profile type {kind!r}")
-    kwargs = {k: v for k, v in cfg.items() if k != "type"}
-    if kind == "piecewise_linear":
-        kwargs.setdefault("strict", strict)
-    return _KINDS[kind](**kwargs)
+    return _KINDS[kind](**{k: v for k, v in cfg.items() if k != "type"})

@@ -7,8 +7,9 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gasnetsim import cli
+from gasnetsim import cli, network
 from gasnetsim.cli import main
 from gasnetsim.config import (build_network, config_sha, load_config,
                               parse_config)
@@ -302,6 +303,23 @@ VALIDATION_ESCAPES = {
         "decay_rate": 1e-3, "gas_gravity": 0.65}),
     "gravity_1e-300_detailed": (("eos",), {
         "kind": "cnga_detailed", "t_kelvin": 1e6, "gas_gravity": 1e-300}),
+    "profile_value_text": (("nodes", 0, "pressure"), {
+        "type": "constant", "value": "6.5e6"}),
+    "slack_pressure_true": (("nodes", 0, "pressure"), True),
+    "period_true": (("nodes", 1, "withdrawal", "period"), True),
+    "relative_text": (("nodes", 1, "withdrawal"), {
+        "type": "harmonic", "offset": 100.0, "amplitude": 0.1, "omega": 1e-4,
+        "relative": "yes"}),
+    "relative_one": (("nodes", 1, "withdrawal"), {
+        "type": "harmonic", "offset": 100.0, "amplitude": 0.1, "omega": 1e-4,
+        "relative": 1}),
+    "knots_text": (("nodes", 1, "withdrawal"), {
+        "type": "piecewise_linear", "knots": [["0", "1"], [10, "2"]]}),
+    "step_end_text": (("nodes", 1, "withdrawal"), {
+        "type": "step_sequence", "intervals": [["60", 1.0], [1e9, 2.0]]}),
+    "profile_strict_key": (("nodes", 1, "withdrawal"), {
+        "type": "piecewise_linear", "knots": [[0, 100.0], [60, 120.0]],
+        "strict": True}),
 }
 
 
@@ -744,3 +762,155 @@ def test_cfl_safety_sizes_the_step_a_config_leaves_unset(tmp_path):
                      "--out", str(out)]) == 0
         dts[safety] = json.loads((out / "run_summary.json").read_text())
     assert dts["0.45"]["steps"] > dts["0.9"]["steps"]
+
+
+# --strict reports each profile that a run clamps, once, when the config is
+# read: a piecewise-linear profile whose first knot lies after t = 0
+
+
+def _clamping_doc(first_knot):
+    """``minimal_doc`` with a withdrawal whose first knot is at
+    ``first_knot``."""
+    return _mutated(("nodes", 1, "withdrawal"), {
+        "type": "piecewise_linear",
+        "knots": [[first_knot, 100.0], [first_knot + 60.0, 120.0]]})
+
+
+def _user_warnings(call):
+    """``call()`` and the messages of the UserWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in caught
+                    if issubclass(w.category, UserWarning)]
+
+
+@pytest.mark.parametrize("command", [["validate"], ["steady"],
+                                     ["run", "--out", "o"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("first_knot, strict, reports", [
+    (100.0, True, 1), (100.0, False, 0), (0.0, True, 0), (-30.0, True, 0)])
+def test_strict_reports_a_clamping_profile_once(command, first_knot, strict,
+                                                reports, tmp_path,
+                                                monkeypatch):
+    (tmp_path / "net.json").write_text(json.dumps(_clamping_doc(first_knot)))
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], "net.json", *command[1:]] + ["--strict"] * strict
+    code, caught = _user_warnings(lambda: main(argv))
+    assert code == 0 and len(caught) == reports
+    for message in caught:
+        assert message.startswith("nodes[1]: ") and "t = 100 s" in message
+
+
+def test_strict_run_reports_once_and_writes_the_same_csv(tmp_path):
+    doc = _clamping_doc(100.0)
+    doc["simulation"]["t_end"] = 60.0
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    csv = {}
+    for flags in ([], ["--strict"]):
+        out = tmp_path / f"out{len(flags)}"
+        code, caught = _user_warnings(lambda: main(
+            ["run", str(tmp_path / "net.json"), "--out", str(out), *flags]))
+        assert code == 0 and len(caught) == len(flags)
+        csv[len(flags)] = (out / "run.csv").read_bytes()
+    assert csv[0] == csv[1]
+
+
+def test_strict_names_each_clamping_profile_by_location():
+    doc = _clamping_doc(100.0)
+    doc["nodes"][0]["pressure"] = {
+        "type": "piecewise_linear", "period": 600.0,
+        "knots": [[7.5, 6.5e6], [300.0, 6.4e6]]}
+    doc["compressors"] = [{"pipe": "p", "side": "inlet", "ratio": {
+        "type": "piecewise_linear", "knots": [[2e-3, 1.2], [60.0, 1.3]]}}]
+    cfg, caught = _user_warnings(lambda: parse_config(doc, strict=True))
+    assert [m.split(":")[0] for m in caught] == ["nodes[0]", "nodes[1]",
+                                                 "compressors[0]"]
+    assert "t = 7.5 s" in caught[0] and "t = 0.002 s" in caught[2]
+    # the config reads the same with or without the report
+    assert _user_warnings(lambda: parse_config(doc)) == (cfg, [])
+
+
+def test_a_profile_strict_key_is_an_unknown_key(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(
+        _mutated(*VALIDATION_ESCAPES["profile_strict_key"])))
+    for flags in ([], ["--strict"]):
+        assert main(["validate", str(config), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: nodes[1]: bad profile (")
+        assert "'strict'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path, sha", [
+    (bundled_config_path(),
+     "035902fe1e38244f7cc680089eca9106f072b52a81fd834d4cb4989ea302340c"),
+    (Path(__file__).with_name("data") / "mesh_small.json",
+     "cd00727157d666892c195dc4239489a2d7e7a23157e0a716c29c67559648f4d0"),
+], ids=["five_node", "mesh_small"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_shipped_config_sha_is_pinned(path, sha, strict):
+    # the golden fallback for a platform with no recorded hashes compares
+    # numbers only; this pins the hashed document itself
+    cfg, caught = _user_warnings(lambda: load_config(path, strict=strict))
+    assert config_sha(cfg) == sha and caught == []
+
+
+# config fuzz: documents one to three leaves away from a valid one
+FUZZ_BASES = (minimal_doc(), json.loads(bundled_config_path().read_text()))
+FUZZ_VALUES = st.recursive(
+    st.floats() | st.integers(-10 ** 400, 10 ** 400) | st.booleans() |
+    st.text(max_size=4) | st.sampled_from(["0", "1.5", "-2e3", "nan", "inf"])
+    | st.none(),
+    lambda inner: st.lists(inner, max_size=3) |
+    st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _leaves(node, path=()):
+    """The paths to ``node``'s scalars and empty containers."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+@st.composite
+def fuzzed_docs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    paths = draw(st.lists(st.sampled_from(list(_leaves(doc))), min_size=1,
+                          max_size=3, unique=True))
+    # the last first, so that dropping a list entry moves no later path
+    for *parents, key in sorted(paths, reverse=True):
+        target = functools.reduce(lambda node, k: node[k], parents, doc)
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(FUZZ_VALUES)
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=fuzzed_docs(), strict=st.booleans())
+def test_fuzzed_config_is_refused_or_round_trips_and_builds(doc, strict):
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("always")
+        # a lower cell bound keeps each network small; validation and the
+        # build both refuse a pipe above it
+        patch.setattr(network, "MAX_CELLS", 10 ** 4)
+        try:
+            cfg = parse_config(doc, strict=strict)
+        except ConfigError as exc:
+            assert exc.violations
+            assert all(isinstance(v, str) for v in exc.violations)
+        else:
+            again = parse_config(cfg.to_dict(), strict=strict)
+            assert again == cfg and config_sha(again) == config_sha(cfg)
+            try:
+                build_network(cfg)
+            except ConfigError:
+                pass
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

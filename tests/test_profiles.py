@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +53,11 @@ def test_piecewise_linear_hits_knots():
     assert p(20.0) == pytest.approx(1.0)
 
 
-def test_piecewise_linear_clamps_and_warns_in_strict():
+def test_piecewise_linear_clamps():
+    # a config reports, under --strict, a profile clamped at its start
     p = PiecewiseLinear([(10.0, 3.0), (20.0, 5.0)])
     assert p(0.0) == 3.0
     assert p(25.0) == 5.0
-    strict = PiecewiseLinear([(10.0, 3.0), (20.0, 5.0)], strict=True)
-    with pytest.warns(UserWarning):
-        strict(0.0)
 
 
 def test_piecewise_linear_rejects_unsorted():
@@ -95,6 +92,27 @@ def test_step_sequence_right_open_intervals():
 def test_non_finite_numbers_rejected(make, bad):
     with pytest.raises(ValueError, match="finite"):
         make(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: Constant(bad),
+    lambda bad: Constant(1.0, period=bad),
+    lambda bad: Harmonic(offset=1.0, amplitude=bad, omega=0.5),
+    lambda bad: PiecewiseLinear([(0.0, 1.0), (bad, 2.0)]),
+    lambda bad: PiecewiseLinear([(0.0, bad), (5.0, 2.0)]),
+    lambda bad: StepSequence([(bad, 1.0), (5.0, 2.0)]),
+    lambda bad: StepSequence([(1.0, 1.0), (5.0, bad)]),
+])
+@pytest.mark.parametrize("bad", [True, False, "3", "nan"])
+def test_booleans_and_strings_are_no_numbers(make, bad):
+    with pytest.raises(TypeError, match="must be a number"):
+        make(bad)
+
+
+@pytest.mark.parametrize("relative", [1, 0, "yes", None])
+def test_harmonic_relative_must_be_a_boolean(relative):
+    with pytest.raises(TypeError, match="relative must be a boolean"):
+        Harmonic(offset=1.0, amplitude=0.1, omega=0.5, relative=relative)
 
 
 def test_step_sequence_last_end_may_be_infinite():
@@ -150,9 +168,6 @@ def test_equal_profiles_hash_equal(period):
     pairs = [
         (Constant(0.0, period=period), Constant(-0.0, period=period)),
         (Constant(3.0, period=7), Constant(3.0, period=7.0)),
-        (PiecewiseLinear([(0.0, 1.0), (5.0, 2.0)], period=period),
-         PiecewiseLinear([(0.0, 1.0), (5.0, 2.0)], period=period,
-                         strict=True)),
     ]
     for p, q in pairs:
         assert p == q
@@ -227,11 +242,11 @@ def test_at_times_is_each_call_bit_for_bit(profile):
                           calls.view(np.int64))
 
 
-def test_at_times_falls_back_to_calls_where_a_call_warns_or_raises():
-    strict = PiecewiseLinear([(10.0, 3.0), (20.0, 5.0)], strict=True)
-    with pytest.warns(UserWarning, match="before first knot"):
-        assert strict.at_times(np.array([0.0, 15.0])).tolist() == [3.0, 4.0]
+def test_harmonic_at_times_raises_where_a_call_raises():
+    p = Harmonic(offset=1.0, amplitude=1.0, omega=1e308)
+    with pytest.raises(ValueError):
+        p(10.0)    # math.sin of an infinity
     with pytest.raises(ValueError), np.errstate(over="ignore"):
-        # math.sin of an infinity
-        Harmonic(offset=1.0, amplitude=1.0, omega=1e308).at_times(
-            np.array([0.0, 10.0]))
+        p.at_times(np.array([0.0, 10.0]))
+    assert p.at_times(np.array([0.0, 1e-300])).tolist() == [p(0.0),
+                                                            p(1e-300)]
