@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 configuration/validation failure (a malformed
 command line included) or an output path that cannot be written, 2
 numerical failure (stability, positivity, infeasible node, steady solve)
 or any other internal error.  Failures print one machine-parsable line
-``error: <reason>: <detail>`` on stderr, never a traceback.
+``error: <reason>: <detail>`` on stderr, never a traceback, and each
+``--strict`` report of a clamping profile one line
+``warning: <location>: <detail>``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import inspect
 import math
 import sys
 import time as _time
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -76,9 +79,20 @@ def _summarise(result, sha, started, out_dir, name):
     return 0
 
 
+def _load(args):
+    """``args.config``, read with each warning (a ``--strict`` clamping
+    report) printed as one ``warning: <message>`` line."""
+    original = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    try:
+        return load_config(args.config, strict=args.strict)
+    finally:
+        warnings.formatwarning = original
+
+
 def _cmd_run(args):
     started = _time.monotonic()
-    cfg = load_config(args.config, strict=args.strict)
+    cfg = _load(args)
     if cfg.simulation is None:
         raise ConfigError(["simulation section is required for 'run'"])
     sim = cfg.simulation
@@ -101,13 +115,13 @@ def _cmd_run(args):
 
 
 def _cmd_check_config(args):
-    load_config(args.config, strict=args.strict)
+    _load(args)
     print(f"{args.config}: valid")
     return 0
 
 
 def _cmd_steady(args):
-    cfg = load_config(args.config, strict=args.strict)
+    cfg = _load(args)
     net = build_network(cfg, dx_target=args.dx)
     steady = solve_steady_state(net, t0=0.0)
     for node_id, p in steady.node_pressures.items():

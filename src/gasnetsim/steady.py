@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import SteadyStateError
 from .network import Network
+from .ode import rk45
 from .pipe import PipeState
 
 PRESSURE_FLOOR = 1e4       # Pa; below this a pipe is considered drained
@@ -42,9 +43,6 @@ def integrate_pipe_pressure(eos, geometry, p_in: float, mflow: float,
     continues linearly downward so a Newton caller sees a monotone,
     strongly negative residual instead of a crash.
     """
-    # imported on first use: it costs ~50 MB and ~0.7 s, which runs that
-    # never integrate a steady profile (the single-pipe studies) skip
-    from scipy.integrate import solve_ivp
     length = geometry.length
     phi = mflow / geometry.area
     if p_in <= PRESSURE_FLOOR:
@@ -61,17 +59,16 @@ def integrate_pipe_pressure(eos, geometry, p_in: float, mflow: float,
 
         def hit_floor(x, p):
             return p[0] - PRESSURE_FLOOR
-        hit_floor.terminal = True
 
-        sol = solve_ivp(rhs, (0.0, length), [p_in], rtol=ODE_RTOL, atol=1e-2,
-                        events=hit_floor, dense_output=dense)
-        if sol.t[-1] < length:
-            slope = drag / eos.at(sol.t[-1]).density(PRESSURE_FLOOR)
-            p_out = PRESSURE_FLOOR - slope * (length - sol.t[-1])
+        x_end, p_end, sol = rk45(rhs, length, p_in, ODE_RTOL, 1e-2,
+                                 hit_floor, dense)
+        if x_end < length:
+            slope = drag / eos.at(x_end).density(PRESSURE_FLOOR)
+            p_out = PRESSURE_FLOOR - slope * (length - x_end)
             return p_out, None
-    profile = (lambda x, s=sol: s.sol(np.asarray(x, dtype=float))[0]) \
+    profile = (lambda x: sol(np.asarray(x, dtype=float))[0]) \
         if dense else None
-    return float(sol.y[0, -1]), profile
+    return float(p_end), profile
 
 
 @dataclass

@@ -2,6 +2,9 @@ import copy
 import functools
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -829,6 +832,31 @@ def test_strict_names_each_clamping_profile_by_location():
     assert "t = 7.5 s" in caught[0] and "t = 0.002 s" in caught[2]
     # the config reads the same with or without the report
     assert _user_warnings(lambda: parse_config(doc)) == (cfg, [])
+
+
+def test_strict_prints_one_warning_line_per_clamping_profile(tmp_path):
+    # the CLI's own format, as its error lines are, not Python's two-line
+    # warning with a source line; run in a process of its own, since pytest
+    # records warnings instead of printing them
+    doc = _clamping_doc(100.0)
+    doc["simulation"]["t_end"] = 60.0
+    doc["compressors"] = [{"pipe": "p", "side": "inlet", "ratio": {
+        "type": "piecewise_linear", "knots": [[2e-3, 1.2], [60.0, 1.3]]}}]
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    held = "profile holds its first value before its first knot at"
+    expected = [f"warning: nodes[1]: {held} t = 100 s",
+                f"warning: compressors[0]: {held} t = 0.002 s"]
+    for command in (["validate"], ["steady"], ["run", "--out", "o"]):
+        for strict in (False, True):
+            argv = [command[0], "net.json", *command[1:]] + \
+                ["--strict"] * strict
+            proc = subprocess.run([sys.executable, "-m", "gasnetsim", *argv],
+                                  cwd=tmp_path, env=env, capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert proc.stderr.splitlines() == expected * strict, argv
 
 
 def test_a_profile_strict_key_is_an_unknown_key(tmp_path, capsys):
