@@ -22,6 +22,15 @@ The binding of the pipe states to the flat arrays is checked on trees,
 rings and meshes (rings with a chord): a whole run binds once, and a pipe
 whose ``state``, ``state.rho`` or ``state.phi`` is replaced by a copy
 between steps steps on bit for bit as in a fresh build.
+
+Two symmetries of the step hold bit for bit on trees, rings and meshes
+from a perturbed state, over more steps than one nodal table serves
+(metamorphic relations; Chen et al., ACM Computing Surveys 51(1), 2018):
+reversing pipes (swapping their nodes and compressor sides, and mirroring
+their states and gases) mirrors their states and keeps every nodal value;
+doubling lengths, ``dx``, ``dt`` and the profiles' phases and periods, and
+halving frictions, ``omega``s and the gas's decay rate, keeps every state
+and nodal value and doubles every pipe's mass.
 """
 
 import itertools
@@ -35,7 +44,7 @@ from hypothesis import given, settings, strategies as st
 from gasnetsim.eos import CngaGas, NonIsothermalCnga, TemperatureProfile
 from gasnetsim.experiments import simulate_network
 from gasnetsim.network import (DemandBC, Network, Node, PipeEdge, SlackBC,
-                               network_step)
+                               network_step, node_arrays)
 from gasnetsim.output import SeriesWriter, write_series
 from gasnetsim.pipe import (PipeGeometry, PipeGrid, PipeState,
                             interior_flux_update)
@@ -44,23 +53,29 @@ from support import node_records
 
 P0 = 5.0e6
 STEPS = 50
+RELATION_STEPS = 260    # past the first nodal table, of 256 steps
+# a harmonic's (phase, period), drawn for the timed specs
+TIMING = (st.floats(0.0, 100.0), st.none() | st.floats(20.0, 400.0))
 
 
-def ratios():
+def ratios(timed=False):
     """A compressor's boost ratio: ``("constant", value)`` or
-    ``("harmonic", offset, amplitude, omega)``."""
+    ``("harmonic", offset, amplitude, omega)``, then with ``timed`` a phase
+    and a period (or None)."""
     return st.one_of(
         st.tuples(st.just("constant"), st.floats(1.0, 1.3)),
         st.tuples(st.just("harmonic"), st.floats(1.05, 1.3),
-                  st.floats(0, 0.05), st.floats(1e-3, 0.1)))
+                  st.floats(0, 0.05), st.floats(1e-3, 0.1),
+                  *(TIMING if timed else ())))
 
 
 @st.composite
-def networks(draw, meshes=False):
+def networks(draw, meshes=False, timed=False):
     """``(nodes, pipes, gas)`` specs of a tree or ring with 3 to 8 nodes,
     and with ``meshes`` also of a ring of 4 or more with a chord; each pipe
     may carry a compressor at its inlet or its outlet, and the gas is None
-    (uniform) or a non-isothermal ``(jump, decay_rate)``."""
+    (uniform) or a non-isothermal ``(jump, decay_rate)``.  With ``timed``
+    every harmonic profile has a phase and a period (or None)."""
     n = draw(st.integers(3, 8))
     if draw(st.booleans()):
         links = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
@@ -78,7 +93,8 @@ def networks(draw, meshes=False):
         else:
             nodes.append((str(i), ("harmonic", draw(st.floats(0, 30)),
                                    draw(st.floats(0, 15)),
-                                   draw(st.floats(1e-3, 0.1)))))
+                                   draw(st.floats(1e-3, 0.1)),
+                                   *(draw(s) for s in TIMING if timed))))
     pipes = []
     for k, (a, b) in enumerate(links):
         if draw(st.booleans()):
@@ -87,7 +103,7 @@ def networks(draw, meshes=False):
                       draw(st.floats(2e3, 20e3)), draw(st.floats(0.4, 1.0)),
                       draw(st.floats(0.0, 0.02)), draw(st.integers(2, 12)),
                       draw(st.sampled_from((None, "inlet", "outlet"))),
-                      draw(ratios())))
+                      draw(ratios(timed))))
     gas = draw(st.none() | st.tuples(st.floats(0.0, 40.0),
                                      st.floats(1e-4, 1e-3)))
     return nodes, pipes, gas
@@ -96,13 +112,17 @@ def networks(draw, meshes=False):
 def profile(spec):
     if spec[0] == "constant":
         return Constant(spec[1])
-    return Harmonic(offset=spec[1], amplitude=spec[2], omega=spec[3])
+    offset, amplitude, omega, *timing = spec[1:]
+    phase, period = timing or (0.0, None)
+    return Harmonic(offset=offset, amplitude=amplitude, omega=omega,
+                    phase=phase, period=period)
 
 
-def build(spec):
+def network(spec, eos=None):
+    """The network of ``spec``, on its own gas unless ``eos`` is given."""
     nodes, pipes, gas = spec
-    eos = CngaGas() if gas is None else NonIsothermalCnga(
-        TemperatureProfile(ambient=288.706, jump=gas[0], decay_rate=gas[1]))
+    eos = eos or (CngaGas() if gas is None else NonIsothermalCnga(
+        TemperatureProfile(ambient=288.706, jump=gas[0], decay_rate=gas[1])))
 
     def bc(withdrawal):
         if withdrawal is None:
@@ -115,6 +135,11 @@ def build(spec):
                                else {}))
                    for pid, a, b, length, diameter, f, n_cells, side, ratio
                    in pipes], eos)
+    return net
+
+
+def build(spec):
+    net = network(spec)
     for e in net.edges:
         n = e.grid.n_cells
         e.state = PipeState(np.full(n, e.gas.density(P0)),
@@ -230,3 +255,107 @@ def test_generated_networks_bind_once_per_run(spec):
         net, _, result = run(spec)
     assert result.summary["steps"] == STEPS
     assert binds == [net]
+
+
+class _Gases:
+    """An EoS that hands out the given gases, one per ``at`` call: a
+    network binds one to each pipe, in edge order."""
+
+    def __init__(self, gases):
+        self._gases = iter(gases)
+
+    def at(self, x):
+        return next(self._gases)
+
+
+def reversed_pipes(spec, flipped):
+    """``spec`` with the pipes at the positions ``flipped`` reversed: their
+    nodes swapped, and a compressor at the other end."""
+    nodes, pipes, gas = spec
+    side = {None: None, "inlet": "outlet", "outlet": "inlet"}
+
+    def flip(pid, a, b, length, diameter, f, n_cells, at, ratio):
+        return pid, b, a, length, diameter, f, n_cells, side[at], ratio
+    return nodes, [flip(*p) if k in flipped else p
+                   for k, p in enumerate(pipes)], gas
+
+
+def scaled(spec):
+    """``spec`` at twice the length and time scales: lengths, phases and
+    periods doubled; frictions, ``omega``s and the decay rate halved."""
+    nodes, pipes, gas = spec
+
+    def stretch(profile):
+        if profile is None or profile[0] == "constant":
+            return profile
+        kind, offset, amplitude, omega, phase, period = profile
+        return (kind, offset, amplitude, omega / 2.0, 2.0 * phase,
+                None if period is None else 2.0 * period)
+    return ([(nid, stretch(w)) for nid, w in nodes],
+            [(pid, a, b, 2.0 * length, diameter, f / 2.0, n_cells, side,
+              stretch(ratio))
+             for pid, a, b, length, diameter, f, n_cells, side, ratio
+             in pipes],
+            gas and (gas[0], gas[1] / 2.0))
+
+
+def perturbed_states(net, seed):
+    """``(rho, phi)`` of every pipe: its density at ``P0`` scaled by up to
+    2 % per cell, and fluxes from -50 to 150 kg/(m2 s)."""
+    rng = np.random.default_rng(seed)
+    return [(e.gas.density(P0) * rng.uniform(0.98, 1.02, e.grid.n_cells),
+             rng.uniform(-50.0, 150.0, e.grid.n_cells + 1))
+            for e in net.edges]
+
+
+def write(net, states):
+    for e, (rho, phi) in zip(net.edges, states):
+        e.state = PipeState(rho, phi)
+
+
+def march(net, dt):
+    """``RELATION_STEPS`` steps; the nodes' pressures and net inflows."""
+    for _ in range(RELATION_STEPS):
+        network_step(net, dt)
+    return node_arrays(net, *np.empty((2, len(net.nodes))))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(networks(meshes=True, timed=True), st.data())
+def test_reversed_and_rescaled_networks_step_bitwise(spec, data):
+    # one run of the network serves both relations
+    flipped = data.draw(st.sets(st.integers(0, len(spec[1]) - 1),
+                                min_size=1))
+    net = network(spec)
+    mirror = network(reversed_pipes(spec, flipped), _Gases(
+        e.gas[::-1] if k in flipped else e.gas
+        for k, e in enumerate(net.edges)))
+    wide = network(scaled(spec))
+    states = perturbed_states(net, data.draw(st.integers(0, 2 ** 32 - 1)))
+    write(net, states)
+    write(mirror, [(rho[::-1], -phi[::-1]) if k in flipped else (rho, phi)
+                   for k, (rho, phi) in enumerate(states)])
+    write(wide, states)
+    dt = 0.8 * net.cfl_max_dt()
+    nodal = march(net, dt)
+    masses = net.pipe_masses()
+
+    # reversal: mirrored states of the reversed pipes, every other value
+    # kept; a reversed pipe sums its cells in the other order
+    for a, b in zip(nodal, march(mirror, dt)):
+        assert np.array_equal(a, b)
+    for k, (e, f) in enumerate(zip(net.edges, mirror.edges)):
+        rho, phi = f.state.rho, f.state.phi
+        if k in flipped:
+            rho, phi = rho[::-1], -phi[::-1]
+        assert np.array_equal(e.state.rho, rho), e.id
+        assert np.array_equal(e.state.phi, phi), e.id
+    assert mirror.pipe_masses() == pytest.approx(masses, rel=1e-14)
+
+    # dyadic scaling: every state and nodal value kept, masses doubled
+    for a, b in zip(nodal, march(wide, 2.0 * dt)):
+        assert np.array_equal(a, b)
+    assert wide.time == 2.0 * net.time
+    assert np.array_equal(net.rho, wide.rho)
+    assert np.array_equal(net.phi, wide.phi)
+    assert wide.pipe_masses() == [2.0 * m for m in masses]
