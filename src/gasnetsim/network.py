@@ -8,8 +8,8 @@ is positive.
 The network keeps one flat ``phi`` over the faces of all pipes, pipe after
 pipe in edge order, and one flat ``rho`` over their cells with one ghost
 cell between consecutive pipes, so that cell ``i`` lies between faces
-``i`` and ``i + 1`` throughout; each ``edge.state.rho``/``.phi`` is a view
-into them.  A ghost holds a fixed positive density and has ``dt/dx = 0``.
+``i`` and ``i + 1`` throughout; each ``edge.state.rho``/``.phi`` is a fixed
+view into them.  A ghost holds a fixed positive density and has ``dt/dx = 0``.
 
 A network step runs three global phases over the flat state: the flux
 update of every face between two cells (one contiguous ``pipe.face_fluxes``
@@ -19,7 +19,7 @@ index arrays and summed per node with ``np.bincount``), then the density
 update of every cell.  Per-node sums always run in fixed incidence order,
 so results are deterministic.  The dt-scaled coefficients a step reads
 and the buffers a step writes are a step plan, built once per
-``(network, dt)`` and rebuilt when ``dt`` or the bound states change.
+``(network, dt)`` and rebuilt when ``dt`` changes.
 The nodal terms that depend on time alone (boost ratios, slack pressures,
 withdrawals and what follows from them) are a table the plan builds for
 a block of steps at once, each profile evaluated over the block's times.
@@ -27,8 +27,6 @@ a block of steps at once, each profile evaluated over the block's times.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,16 +42,6 @@ from .profiles import Constant, TimeProfile
 
 UNIT_RATIO = Constant(1.0)
 MAX_CELLS = 10 ** 7    # per pipe
-_assignments = [0]    # to an edge's state or a bound state's rho or phi
-
-
-def _counting(*names):
-    """A ``__setattr__`` that counts assignments to ``names``."""
-    def __setattr__(self, name, value):
-        if name in names:
-            _assignments[0] += 1
-        object.__setattr__(self, name, value)
-    return __setattr__
 
 
 @dataclass
@@ -87,16 +75,10 @@ class PipeEdge:
     to_node: str
     geometry: PipeGeometry
     grid: PipeGrid
-    state: PipeState | None = None
     inlet_ratio: TimeProfile | None = None    # compressor node -> pipe inlet
     outlet_ratio: TimeProfile | None = None   # compressor node -> pipe outlet
     gas: CngaGas | None = field(default=None, init=False, repr=False)
-    __setattr__ = _counting("state")
-
-
-class _BoundState(PipeState):
-    """A network's bound state; an unbound one's writes are not counted."""
-    __setattr__ = _counting("rho", "phi")
+    state: PipeState | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -109,14 +91,6 @@ class _End:
     face: int           # boundary face index into phi
     inner: int          # face adjacent to the boundary face
     ratio: TimeProfile = UNIT_RATIO
-
-    @property
-    def area(self) -> float:
-        return self.edge.geometry.area
-
-    @property
-    def dx(self) -> float:
-        return self.edge.grid.dx
 
 
 def graph_violations(nodes, pipes) -> list[str]:
@@ -165,17 +139,17 @@ class Network:
     """Validated pipe graph with one shared EoS model, bound to every pipe's
     cells as ``edge.gas``.
 
-    The state of a network is one flat ``rho`` over the cells (with a ghost
-    cell between consecutive pipes) and one flat ``phi`` over the faces of
-    all pipes, pipe after pipe in edge order; each ``edge.state.rho`` and
-    ``.phi`` is a view into them.  Every reader of the state checks the
-    binding, in O(1) unless an edge's ``state`` or a bound state's ``rho``
-    or ``phi`` was assigned, and binds the views afresh, from the states'
-    current values, if one is not the object it bound.
+    The network owns its state: one flat ``rho`` over the cells (with a
+    ghost cell between consecutive pipes) and one flat ``phi`` over the
+    faces of all pipes, pipe after pipe in edge order, allocated here.
+    Each ``edge.state`` is a ``PipeState`` whose ``rho`` and ``phi`` are
+    views into them, one object for the life of the network.
+    ``write_state`` gives a pipe its initial values; every reader of the
+    state refuses to run while some pipe has not been written.
     The network's ``time`` and ``step_index`` are the clock of a network
     run; the pipe states' own do not advance.  The last step's nodal solve
-    is kept for ``node_arrays``, and the step plan for steps at the same
-    ``dt``, until the states are bound afresh.
+    is kept for ``node_arrays`` until a state is written, and the step plan
+    for steps at the same ``dt``.
     """
 
     def __init__(self, nodes, edges, eos):
@@ -201,53 +175,47 @@ class Network:
         self._dual_compressor_edges = [e for e in self.edges
                                        if e.inlet_ratio and e.outlet_ratio]
         self._flat = _FlatLayout(self)
-        self.rho = self.phi = self._views = self._checked = None
-        self._solve = self._plan = None
-
-    def require_states(self):
-        """Fail unless every pipe has a state; (re)bind the flat arrays
-        unless every edge still holds a state bound to the arrays last
-        bound, which only a counted assignment can change."""
-        if self._checked != _assignments[0]:
-            if self._views is None or any(
-                    type(e.state) is not _BoundState or e.state.rho is not rho
-                    or e.state.phi is not phi
-                    for e, (_, rho, phi) in zip(self.edges, self._views)):
-                self._bind()
-            self._checked = _assignments[0]
-
-    def _bind(self):
-        missing = [e.id for e in self.edges if e.state is None]
-        if missing:
-            raise SimulationError(f"pipes without initial state: {missing}")
-        misfit = [e.id for e in self.edges
-                  if np.shape(e.state.rho) != (e.grid.n_cells,) or
-                  np.shape(e.state.phi) != (e.grid.n_cells + 1,)]
-        if misfit:
-            raise SimulationError(f"pipe states that do not fit their "
-                                  f"grids: {misfit}")
         start = self._flat.start
         self.rho = np.full(start[-1] - 1, _GHOST_RHO)
-        self.phi = np.empty(start[-1])
+        self.phi = np.zeros(start[-1])
         for e, a, b in zip(self.edges, start, start[1:]):
-            e.state.__class__ = _BoundState
-            self.rho[a:b - 1], self.phi[a:b] = e.state.rho, e.state.phi
-            e.state.rho, e.state.phi = self.rho[a:b - 1], self.phi[a:b]
-        self._views = [(w, e.state.rho, e.state.phi)    # (S dx, views)
-                       for w, e in zip(self._flat.mass_weights, self.edges)]
+            e.state = PipeState(self.rho[a:b - 1], self.phi[a:b])
+        self._masses = [(w, e.state.rho)    # (S dx, view)
+                        for w, e in zip(self._flat.mass_weights, self.edges)]
+        self._unwritten = dict.fromkeys(e.id for e in self.edges)
         self._solve = self._plan = None
+
+    def write_state(self, edge: PipeEdge, rho, phi) -> None:
+        """Copy a pipe's densities and fluxes into its state, refusing
+        arrays that do not fit its grid and densities that are not all
+        positive.  ``node_arrays`` then reports pulled-back pressures
+        until the next step."""
+        if np.shape(rho) != edge.state.rho.shape or \
+                np.shape(phi) != edge.state.phi.shape:
+            raise SimulationError(f"pipe states that do not fit their "
+                                  f"grids: {[edge.id]}")
+        if not np.greater(rho, 0.0).all():
+            raise ValueError("initial density must be positive everywhere")
+        edge.state.rho[...], edge.state.phi[...] = rho, phi
+        self._unwritten.pop(edge.id, None)
+        self._solve = None
+
+    def _require_written(self):
+        if self._unwritten:
+            raise SimulationError(f"pipes without initial state: "
+                                  f"{list(self._unwritten)}")
 
     def pipe_masses(self) -> list:
         """``S dx sum(rho)`` of every pipe in edge order, each a sum over
         its own slice."""
-        self.require_states()
+        self._require_written()
         add = np.add.reduce
-        return [w * float(add(rho)) for w, rho, _ in self._views]
+        return [w * float(add(rho)) for w, rho in self._masses]
 
     def _flat_mass(self) -> float:
         """The total mass as one ``S dx``-weighted sum over the flat
         ``rho``: ``sum(pipe_masses())`` within roundoff, not bit for bit."""
-        self.require_states()
+        self._require_written()
         return float(np.dot(self._flat.cell_weights, self.rho))
 
     def total_mass(self) -> float:
@@ -255,26 +223,23 @@ class Network:
 
     def boundary_inflow(self) -> float:
         """Net mass inflow rate summed pipe-locally, S (phi_0 - phi_N)."""
-        self.require_states()
+        self._require_written()
         fl, phi = self._flat, self.phi
         return sum((fl.pipe_area * (phi[fl.first] -
                                     phi[fl.last_face])).tolist())
 
     def _pipe_records(self, masses, out) -> np.ndarray:
         """Write ``(p_in, p_out, mflow_in, mflow_out, mass)`` of every pipe
-        into the rows of ``out``, one per pipe in edge order, for a bound
-        state, and return ``out``; ``masses`` are its ``pipe_masses()``,
-        taken as given."""
+        into the rows of ``out``, one per pipe in edge order, and return
+        ``out``; ``masses`` are its ``pipe_masses()``, taken as given."""
         fl = self._flat
-        out[:, :2] = fl.pipe_end_gas.pressure(
-            self.rho[fl.pipe_end_cells]).reshape(-1, 2)
-        out[:, 2:4] = (fl.pipe_end_area *
-                       self.phi[fl.pipe_end_faces]).reshape(-1, 2)
+        out[:, :2] = fl.pipe_end_gas.pressure(self.rho[fl.pipe_end_cells])
+        out[:, 2:4] = fl.pipe_area[:, None] * self.phi[fl.pipe_end_faces]
         out[:, 4] = masses
         return out
 
     def cfl_max_dt(self, safety: float = 1.0) -> float:
-        self.require_states()
+        self._require_written()
         return min(pipe_ops.cfl_max_dt(e.state, e.grid, e.gas, safety)
                    for e in self.edges)
 
@@ -337,25 +302,24 @@ class _FlatLayout:
 
     def __init__(self, net: Network):
         edges, nodes = net.edges, net.nodes
-        n = [e.grid.n_cells for e in edges]
-        self.start = [0, *itertools.accumulate(k + 1 for k in n)]
+        faces = np.array([e.grid.n_cells + 1 for e in edges])
+        self.start = [0, *np.cumsum(faces).tolist()]
         self.first = np.array(self.start[:-1], dtype=np.intp)
         self.last_face = np.array(self.start[1:], dtype=np.intp) - 1
         self.last_cell = self.last_face - 1
         self.ghosts = self.last_face[:-1]
-        # the interior pass runs over every face between two cells; the
-        # faces beside a ghost (as indices into that pass) are pipe ends
-        faces = [k + 1 for k in n]
+        # the interior pass runs over every face between two cells
+        dx = np.array([e.grid.dx for e in edges])
         self.beta = np.repeat([e.geometry.beta for e in edges], faces)[1:-1]
-        self.face_dx = np.repeat([e.grid.dx for e in edges], faces)[1:-1]
-        self.seams = np.concatenate((self.ghosts - 1, self.ghosts))
+        self.face_dx = np.repeat(dx, faces)[1:-1]
 
         def per_cell(values, ghost):
             """Per-pipe scalars or cell arrays over the flat cells."""
-            parts = [x for v, k in zip(values, n)
-                     for x in (np.broadcast_to(v, (k,)), (ghost,))]
-            return np.concatenate(parts[:-1], dtype=float)
-        self.dx = per_cell([e.grid.dx for e in edges], math.inf)
+            out = np.full(self.start[-1] - 1, ghost)
+            for v, a, b in zip(values, self.start, self.start[1:]):
+                out[a:b - 1] = v
+            return out
+        self.dx = per_cell(dx, math.inf)
 
         # a gas shared by every cell stays scalar only for speed: per-cell
         # copies of its coefficients give the same bits, at more cost; the
@@ -366,24 +330,20 @@ class _FlatLayout:
                 per_cell([getattr(e.gas, c) for e in edges], ghost)
                 for c, ghost in zip(("b1", "b2", "rt"), _GHOST_GAS)))
 
-        self.mass_weights = [e.geometry.area * e.grid.dx for e in edges]
-        self.cell_weights = per_cell(self.mass_weights, 0.0)
         self.pipe_area = np.array([e.geometry.area for e in edges])
-        # each pipe's first and last cell (and face), pipe after pipe: a
+        weights = self.pipe_area * dx
+        self.mass_weights = weights.tolist()
+        self.cell_weights = per_cell(weights, 0.0)
+        # each pipe's first and last cell (and face), one row per pipe: a
         # sample's pipe rows read them in one gather each
-        self.pipe_end_cells = np.column_stack(
-            (self.first, self.last_cell)).ravel()
-        self.pipe_end_faces = np.column_stack(
-            (self.first, self.last_face)).ravel()
+        self.pipe_end_cells = np.array((self.first, self.last_cell)).T
+        self.pipe_end_faces = np.array((self.first, self.last_face)).T
         self.pipe_end_gas = self.gas[self.pipe_end_cells]
-        self.pipe_end_area = np.repeat(self.pipe_area, 2)
 
-        self.node_ids = [node.id for node in nodes]
-        kinds = [0 if node.is_slack else
-                 1 if len(net.incidence[node.id]) > 1 else 2
-                 for node in nodes]
-        groups = [[i for i, kind in enumerate(kinds) if kind == g]
-                  for g in range(3)]
+        groups = ([], [], [])    # slack, solved and dead-end nodes
+        for i, node in enumerate(nodes):
+            solved = len(net.incidence[node.id]) > 1
+            groups[0 if node.is_slack else 1 if solved else 2].append(i)
         self.slack_nodes = np.array(groups[0], dtype=np.intp)
         self.slack_pressures = [nodes[i].bc.pressure for i in groups[0]]
         self.solved_nodes = np.array(groups[1], dtype=np.intp)
@@ -391,56 +351,47 @@ class _FlatLayout:
                             for i in groups[1] + groups[2]]
         ends = [(i, end) for g in groups for i in g
                 for end in net.incidence[nodes[i].id]]
-        sizes = [sum(len(net.incidence[nodes[i].id]) for i in g)
-                 for g in groups]
-        self.slack = slice(0, sizes[0])
-        self.solved = slice(sizes[0], sizes[0] + sizes[1])
-        self.dead = slice(self.solved.stop, len(ends))
+        slack = sum(len(net.incidence[nodes[i].id]) for i in groups[0])
+        self.slack = slice(0, slack)
+        self.dead = slice(len(ends) - len(groups[2]), len(ends))    # 1 a node
+        self.solved = slice(slack, self.dead.start)
         self.targeted = slice(0, self.solved.stop)    # flux from a density
         self.solved_pos = np.searchsorted(
             groups[1], [i for i, _ in ends[self.solved]]).astype(np.intp)
 
         pipe_pos = {id(e): k for k, e in enumerate(edges)}
-        pipes = [pipe_pos[id(e.edge)] for _, e in ends]
+        pipes = np.array([pipe_pos[id(e.edge)] for _, e in ends],
+                         dtype=np.intp)
         self.end_node = np.array([i for i, _ in ends], dtype=np.intp)
 
         def flat(local, counts):
             """Pipe-local indices (negative from the end) as flat ones."""
-            return np.array([self.start[k] + i % counts[k]
-                             for k, i in zip(pipes, local)], dtype=np.intp)
-        self.end_cell = flat([e.cell for _, e in ends], n)
+            return self.first[pipes] + np.remainder(local, counts[pipes])
+        self.end_cell = flat([e.cell for _, e in ends], faces - 1)
         self.end_face = flat([e.face for _, e in ends], faces)
         self.end_inner = flat([e.inner for _, e in ends], faces)
         self.sgn = np.array([e.sgn for _, e in ends], dtype=float)
-        self.end_dx = np.array([e.dx for _, e in ends])
-        self.area_dx = np.array([e.area * e.dx for _, e in ends])
-        self.sgn_area = np.array([e.sgn * e.area for _, e in ends])
+        self.sgn_area = self.sgn * self.pipe_area[pipes]
         self.ratios = [e.ratio for _, e in ends]
         self.slack_gas = self.gas[self.end_cell[self.slack]]
         self.solved_poly = self.gas[self.end_cell[self.solved]].density_poly()
         # (nodes, their first pipe ends, those ends' cells and the gas of
-        # the cells) of the demand nodes, solved then dead ends, and of the
-        # dead ends alone: a node reports its boundary cell's pressure,
-        # pulled back through the end's ratio
-        first = {}
-        for j, (i, _) in enumerate(ends):
-            first.setdefault(i, j)
-
-        def report(nodes):
-            ends = np.array([first[i] for i in nodes], dtype=np.intp)
-            cells = self.end_cell[ends]
-            return np.array(nodes, dtype=np.intp), ends, cells, self.gas[cells]
-        self.report = report(groups[1] + groups[2])
-        self.dead_report = report(groups[2])
+        # the cells) of the demand nodes, solved then dead ends: a node
+        # reports its boundary cell's pressure, pulled back through the
+        # end's ratio.  Ends run node by node, the slack nodes' first.
+        heads = np.flatnonzero(self.end_node[1:] != self.end_node[:-1]) + 1
+        heads = heads[len(groups[0]) - 1:]
+        cells = self.end_cell[heads]
+        self.report = self.end_node[heads], heads, cells, self.gas[cells]
 
     def locate(self, index: int) -> tuple:
         """``(pipe position, pipe-local index)`` of a flat cell or face."""
-        k = bisect.bisect_right(self.start, index) - 1
+        k = int(np.searchsorted(self.first, index, side="right")) - 1
         return k, index - self.start[k]
 
 
 class _StepPlan:
-    """What every step at one ``dt`` over the bound states reads and writes.
+    """What every step at one ``dt`` reads and writes.
 
     The dt-scaled coefficients; views of the flat state; buffers for the
     cell pressures and their scratch, for the face kernel's scratch (the
@@ -470,7 +421,7 @@ class _StepPlan:
         t = fl.targeted
         self.cell, self.inner = fl.end_cell[t], fl.end_inner[t]
         self.face = fl.end_face[t]
-        self.sgn_dx_dt = fl.sgn[t] * (fl.end_dx[t] / dt)
+        self.sgn_dx_dt = fl.sgn[t] * (fl.dx[self.cell] / dt)
         # each slack end's node among the slack nodes
         self.slack_pos = np.searchsorted(fl.slack_nodes,
                                          fl.end_node[fl.slack])
@@ -478,7 +429,7 @@ class _StepPlan:
         m, k = fl.solved, fl.solved_nodes.size
         if k:
             # (each end's node, node count, sgn S, w, w u, 4 w v)
-            w = fl.area_dx[m] / dt
+            w = fl.cell_weights[fl.end_cell[m]] / dt
             u, v = fl.solved_poly
             self.solved = (fl.solved_pos, k, fl.sgn_area[m], w, w * u,
                            4.0 * (w * v))
@@ -608,7 +559,7 @@ def _nodal_phase(net: Network, plan: _StepPlan):
         if np.fmin.reduce(rhs) < 0.0 or table.degenerate[i]:
             j = int(np.flatnonzero((rhs < 0.0) | (b <= 0.0))[0])
             raise InfeasibleNodeError(
-                fl.node_ids[fl.solved_nodes[j]],
+                net.nodes[fl.solved_nodes[j]].id,
                 f"balance rhs {rhs[j]:g} < 0" if rhs[j] < 0.0
                 else "degenerate density map")
         p_solved = 2.0 * rhs / (b + np.sqrt(table.bb[i] + table.a4[i] * rhs))
@@ -624,18 +575,18 @@ def _nodal_phase(net: Network, plan: _StepPlan):
 
 
 def network_step(net: Network, dt: float) -> None:
-    """Advance the whole network one step.
+    """Advance the whole network one step, in place in the views that
+    every ``edge.state`` holds.
 
-    The three phases run over the flat state with the network's step plan
-    for ``dt``, built at the first step at that ``dt`` over the bound
-    states: every face between two cells (``pipe.face_fluxes``), every pipe
-    end (``_nodal_phase``) and every cell.  A non-finite interior face
-    raises before the step writes anything; an infeasible node or a
-    drained cell raises with the state part-way advanced.  The step's
-    boost ratios and nodal pressures stay on the network for
-    ``node_arrays``.
+    The three phases run with the network's step plan for ``dt``, built
+    at the first step at that ``dt``: every face between two cells
+    (``pipe.face_fluxes``), every pipe end (``_nodal_phase``) and every
+    cell.  A non-finite interior face raises before the step writes
+    anything; an infeasible node or a drained cell raises with the state
+    part-way advanced.  The step's boost ratios and nodal pressures stay
+    on the network for ``node_arrays``.
     """
-    net.require_states()
+    net._require_written()
     plan = net._plan
     if plan is None or plan.dt != dt:
         plan = net._plan = _StepPlan(net, dt)
@@ -655,9 +606,10 @@ def network_step(net: Network, dt: float) -> None:
     new = pipe_ops.face_fluxes(rho, p, plan.faces, plan.beta_dt,
                                plan.face_dt_dx, plan.scratch)
     if not np.isfinite(new).all():
-        # the faces beside a ghost are pipe ends, which the nodal phase sets
+        # the faces beside a ghost (as indices into the interior pass) are
+        # pipe ends, which the nodal phase sets
         bad = ~np.isfinite(new)
-        bad[fl.seams] = False
+        bad[fl.ghosts - 1] = bad[fl.ghosts] = False
         if bad.any():
             k, face = fl.locate(int(np.flatnonzero(bad)[0]) + 1)
             raise UnstableRunError(net.step_index, face, net.edges[k].id)
@@ -687,25 +639,25 @@ def node_arrays(net: Network, p, netflow) -> tuple:
     the withdrawal at demand nodes and the implied (negative of injection)
     at slack nodes.  After a step, the pressures are the ones that step
     solved, a dead end's taken from its boundary cell.  Before any step
-    has solved them (or once the pipe states have been replaced), a slack
-    node reports its prescribed pressure and a demand node its first
-    boundary cell's pressure, pulled back through that end's boost ratio.
+    has solved them (or once a state has been written since), a slack node
+    reports its prescribed pressure and a demand node its first boundary
+    cell's pressure, pulled back through that end's boost ratio.
     """
-    net.require_states()
+    net._require_written()
     fl = net._flat
-    if net._solve is None:      # every demand node is pulled back
+    if net._solve is None:
         now = np.array([net.time])
         alpha = _schedule(fl.ratios, now)[0]
         p[fl.slack_nodes] = _schedule(fl.slack_pressures, now)[0]
-        nodes, ends, cells, gas = fl.report
-    else:                       # the dead ends; the step solved the others
+        p_solved = None
+    else:
         alpha, p[fl.slack_nodes], p_solved = net._solve
-        if p_solved is not None:
-            p[fl.solved_nodes] = p_solved
-        nodes, ends, cells, gas = fl.dead_report
+    nodes, ends, cells, gas = fl.report    # every demand node pulled back
     p[nodes] = gas.pressure(net.rho[cells]) / alpha[ends]
+    if p_solved is not None:    # the step solved all but the dead ends
+        p[fl.solved_nodes] = p_solved
     netflow[:] = np.bincount(fl.end_node, fl.sgn_area * net.phi[fl.end_face],
-                             len(fl.node_ids))
+                             len(net.nodes))
     return p, netflow
 
 

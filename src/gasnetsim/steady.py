@@ -21,7 +21,6 @@ import numpy as np
 from .errors import SteadyStateError
 from .network import Network
 from .ode import rk45
-from .pipe import PipeState
 
 PRESSURE_FLOOR = 1e4       # Pa; below this a pipe is considered drained
 MAX_NEWTON_ITERS = 100
@@ -81,14 +80,14 @@ class SteadySolution:
     profiles: dict                 # pipe id -> p(x) callable
 
     def populate(self, net: Network, t0: float = 0.0) -> None:
-        """Write cell densities and face fluxes into every pipe state."""
+        """Write every pipe's steady cell densities and face fluxes into
+        the network's state (``Network.write_state``), and start the
+        network's clock at ``t0``."""
         for e in net.edges:
             prof = self.profiles[e.id]
-            rho = np.asarray(e.gas.density(prof(e.grid.cell_centers)),
-                             dtype=float)
-            phi = np.full(e.grid.n_cells + 1,
-                          self.pipe_flows[e.id] / e.geometry.area)
-            e.state = PipeState(rho, phi, time=t0)
+            net.write_state(e, e.gas.density(prof(e.grid.cell_centers)),
+                            np.full(e.grid.n_cells + 1,
+                                    self.pipe_flows[e.id] / e.geometry.area))
         net.time = t0
         net.step_index = 0
 

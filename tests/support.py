@@ -38,11 +38,22 @@ def end_gas(end):
     return end.edge.gas[end.cell]
 
 
+def end_area(end):
+    """Cross-section of a pipe end's pipe."""
+    return end.edge.geometry.area
+
+
+def end_dx(end):
+    """Cell size of a pipe end's pipe."""
+    return end.edge.grid.dx
+
+
 def node_records(net) -> dict:
     """``(pressure, net_inflow)`` of every node at the current network time,
     keyed by node id in node order; see ``network.node_arrays``."""
     p, netflow = node_arrays(net, *np.empty((2, len(net.nodes))))
-    return dict(zip(net._flat.node_ids, zip(p.tolist(), netflow.tolist())))
+    return dict(zip([n.id for n in net.nodes],
+                    zip(p.tolist(), netflow.tolist())))
 
 
 def flow_balance_residual(sgns, areas, phis, q: float) -> float:
@@ -55,3 +66,8 @@ def flow_balance_residual(sgns, areas, phis, q: float) -> float:
 def compressibility(gas, p):
     """``Z`` in ``p = Z R T rho`` of a CNGA gas at pressure ``p``."""
     return 1.0 / (gas.b1 + gas.b2 * p)
+
+
+def set_state(net, e, state):
+    """Write ``state``'s densities and fluxes into pipe ``e`` of ``net``."""
+    net.write_state(e, state.rho, state.phi)

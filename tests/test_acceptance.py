@@ -21,7 +21,7 @@ from gasnetsim.pipe import (FluxBC, PipeGeometry, PipeGrid, PipeState,
                             friction_invert, uniform_state)
 from gasnetsim.profiles import Constant
 from gasnetsim.steady import solve_steady_state
-from support import compressibility, flow_balance_residual, series
+from support import compressibility, end_area, flow_balance_residual, series
 
 pytestmark = pytest.mark.acceptance
 
@@ -214,10 +214,10 @@ def test_criterion_7_junction_balance():
                 continue
             ends = net.incidence[node.id]
             res = flow_balance_residual(
-                [e.sgn for e in ends], [e.area for e in ends],
+                [e.sgn for e in ends], [end_area(e) for e in ends],
                 [float(e.edge.state.phi[e.face]) for e in ends],
                 node.bc.withdrawal(t_half))
-            scale = max(e.area * abs(float(e.edge.state.phi[e.face]))
+            scale = max(end_area(e) * abs(float(e.edge.state.phi[e.face]))
                         for e in ends)
             worst = max(worst, abs(res) / max(1e-12 * max(scale, 1.0), 1e-300))
     check(7, "nodal flow balance after every step", worst <= 1.0,

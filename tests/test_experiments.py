@@ -23,7 +23,7 @@ from gasnetsim.output import CSV_HEADER, SeriesWriter, write_series
 from gasnetsim.pipe import PipeGeometry, PipeGrid, uniform_state
 from gasnetsim.profiles import Constant
 from gasnetsim.steady import solve_steady_state
-from support import edge, node, read_series, series
+from support import edge, node, read_series, series, set_state
 
 
 class TestL2Error:
@@ -396,7 +396,8 @@ def test_csv_quotes_ids_as_the_csv_module_does(tmp_path):
                        Node(ids[1], DemandBC(Constant(50.0)))],
                       [PipeEdge(ids[2], ids[0], ids[1],
                                 PipeGeometry(10e3, 0.9144, 0.01), grid)], eos)
-        net.edges[0].state = uniform_state(grid, eos.density(6.5e6), 100.0)
+        set_state(net, net.edges[0],
+                  uniform_state(grid, eos.density(6.5e6), 100.0))
         return simulate_network(net, 1.0, 20.0, 5.0, writer)
 
     streamed = tmp_path / "run.csv"
