@@ -182,22 +182,25 @@ class Network:
             e.state = PipeState(self.rho[a:b - 1], self.phi[a:b])
         self._masses = [(w, e.state.rho)    # (S dx, view)
                         for w, e in zip(self._flat.mass_weights, self.edges)]
-        self._unwritten = dict.fromkeys(e.id for e in self.edges)
+        # by pipe id, as a network built later on these edges re-points them
+        self._states = {e.id: e.state for e in self.edges}
+        self._unwritten = dict.fromkeys(self._states)
         self._solve = self._plan = None
 
-    def write_state(self, edge: PipeEdge, rho, phi) -> None:
-        """Copy a pipe's densities and fluxes into its state, refusing
-        arrays that do not fit its grid and densities that are not all
-        positive.  ``node_arrays`` then reports pulled-back pressures
+    def write_state(self, pipe_id: str, rho, phi) -> None:
+        """Copy pipe ``pipe_id``'s densities and fluxes into its state,
+        refusing arrays that do not fit its grid and densities that are not
+        all positive.  ``node_arrays`` then reports pulled-back pressures
         until the next step."""
-        if np.shape(rho) != edge.state.rho.shape or \
-                np.shape(phi) != edge.state.phi.shape:
+        state = self._states[pipe_id]
+        if np.shape(rho) != state.rho.shape or \
+                np.shape(phi) != state.phi.shape:
             raise SimulationError(f"pipe states that do not fit their "
-                                  f"grids: {[edge.id]}")
+                                  f"grids: {[pipe_id]}")
         if not np.greater(rho, 0.0).all():
             raise ValueError("initial density must be positive everywhere")
-        edge.state.rho[...], edge.state.phi[...] = rho, phi
-        self._unwritten.pop(edge.id, None)
+        state.rho[...], state.phi[...] = rho, phi
+        self._unwritten.pop(pipe_id, None)
         self._solve = None
 
     def _require_written(self):

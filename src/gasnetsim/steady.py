@@ -85,7 +85,7 @@ class SteadySolution:
         network's clock at ``t0``."""
         for e in net.edges:
             prof = self.profiles[e.id]
-            net.write_state(e, e.gas.density(prof(e.grid.cell_centers)),
+            net.write_state(e.id, e.gas.density(prof(e.grid.cell_centers)),
                             np.full(e.grid.n_cells + 1,
                                     self.pipe_flows[e.id] / e.geometry.area))
         net.time = t0

@@ -70,4 +70,4 @@ def compressibility(gas, p):
 
 def set_state(net, e, state):
     """Write ``state``'s densities and fluxes into pipe ``e`` of ``net``."""
-    net.write_state(e, state.rho, state.phi)
+    net.write_state(e.id, state.rho, state.phi)

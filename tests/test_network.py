@@ -677,10 +677,13 @@ class TestFlatStep:
         for e in net.edges[1:]:
             set_state(net, e, uniform_state(e.grid, 50.0))
         refused(["1"])
-        # edges carry no state into a network rebuilt on them
-        net = Network(net.nodes, net.edges, net.eos)
+        # edges carry no state into a network rebuilt on them, and each
+        # network writes its own arrays
+        old, net = net, Network(net.nodes, net.edges, net.eos)
         set_state(net, net.edges[0], uniform_state(net.edges[0].grid, 50.0))
         refused(["2", "3", "4", "5"])
+        set_state(old, old.edges[0], uniform_state(old.edges[0].grid, 60.0))
+        assert net.rho[0] == 50.0 and old.rho[0] == 60.0
 
     @pytest.mark.parametrize("make", ["two_node", "ring", "star"])
     def test_each_group_steps_as_the_scalar_references(self, make):
