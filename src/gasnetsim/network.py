@@ -243,8 +243,8 @@ class Network:
 
     def cfl_max_dt(self, safety: float = 1.0) -> float:
         self._require_written()
-        return min(pipe_ops.cfl_max_dt(e.state, e.grid, e.gas, safety)
-                   for e in self.edges)
+        return min(pipe_ops.cfl_max_dt(self._states[e.id], e.grid, e.gas,
+                                       safety) for e in self.edges)
 
 
 _GHOST_RHO = 1.0                 # density of every ghost cell
